@@ -7,7 +7,15 @@
  * maps sample indices over the shards, then gradients are reduced in
  * shard order and averaged — bit-reproducible regardless of thread
  * scheduling because shard boundaries are a pure function of the
- * batch size and worker count.
+ * batch size and worker count. Each shard zeroes its own buffer, and
+ * the reduction splits the gradient elements over the workers; every
+ * element still sums its shards in order 0, 1, ..., so neither split
+ * changes a bit.
+ *
+ * The shard graphs share one nn::PanelCache: the weights a body
+ * reads are frozen from the start of runBatch() until apply(), so
+ * each weight is packed into its matvec panel once per batch, not
+ * once per graph or sample.
  */
 
 #ifndef DIFFTUNE_CORE_TRAINER_HH
@@ -56,8 +64,12 @@ class BatchRunner
   private:
     int workers_;
     std::vector<std::unique_ptr<nn::Graph>> graphs_;
+    /** Gradients of shards 1.. (shard 0 accumulates into total_). */
     std::vector<std::unique_ptr<nn::Grads>> shardGrads_;
     nn::Grads total_;
+    /** Start of each gradient tensor in the flat element order. */
+    std::vector<size_t> offsets_;
+    nn::PanelCache panels_;
 };
 
 } // namespace difftune::core

@@ -70,15 +70,30 @@ BatchedForward::weight(int index) const
     return snapshot_->weightF32(index);
 }
 
+template <> const double *
+BatchedForward::matrix(int index) const
+{
+    return snapshot_->panelF64(index);
+}
+
+template <> const float *
+BatchedForward::matrix(int index) const
+{
+    return snapshot_->weightF32(index);
+}
+
 BatchedForward::BatchedForward(
     std::shared_ptr<const WeightSnapshot> snapshot,
     Precision precision)
     : snapshot_(std::move(snapshot)), params_(snapshot_->params()),
       precision_(precision)
 {
-    // The f32 panels live in the snapshot: the first kF32 bind pays
-    // the one-time conversion, every later bind reuses it.
-    if (precision_ == Precision::kF32)
+    // The panels live in the snapshot: the first bind of each
+    // precision pays the one-time packing or conversion, every later
+    // bind reuses it.
+    if (precision_ == Precision::kF64)
+        snapshot_->ensurePanels();
+    else
         snapshot_->ensureF32();
 }
 
@@ -236,9 +251,9 @@ namespace
  *     z = (Wx x + Wh h) + b
  *
  * computed exactly as graph.cc's fused lstmStep computes them — two
- * runs of the shared ILP-blocked matvec kernel and one combining
- * pass — so the kF64 batched forward is bit-identical to the
- * sequential engine by construction.
+ * runs of the shared matvec kernel on the same packed panels and
+ * one combining pass — so the kF64 batched forward is bit-identical
+ * to the sequential engine by construction.
  *
  * The one divergence is an *exact* shortcut: at a lane's first step
  * the incoming hidden state is all zero, so the (4H x H) recurrent
@@ -256,7 +271,7 @@ laneGatesCombine(const T *wxx, const T *__restrict wh,
                  T *z, T *__restrict scratch, int rows, int hidden)
 {
     if (h) {
-        matvecForwardT(wh, h, scratch, rows, hidden);
+        matvecForward(wh, h, scratch, rows, hidden);
         for (int r = 0; r < rows; ++r)
             z[r] = (wxx[r] + scratch[r]) + bias[r];
     } else {
@@ -272,7 +287,7 @@ laneGates(const T *__restrict wx, const T *__restrict wh,
           const T *__restrict h, T *__restrict z,
           T *__restrict scratch, int rows, int in_dim, int hidden)
 {
-    matvecForwardT(wx, x, z, rows, in_dim);
+    matvecForward(wx, x, z, rows, in_dim);
     laneGatesCombine(z, wh, bias, h, z, scratch, rows, hidden);
 }
 
@@ -432,8 +447,8 @@ BatchedForward::runImpl(const LstmStackRef &stack)
         for (int l = 0; l < layers; ++l) {
             const LstmLayerRef &layer = stack.layers[size_t(l)];
             const int in_dim = l == 0 ? dim_ : hidden;
-            const T *wx = weight<T>(layer.wx);
-            const T *wh = weight<T>(layer.wh);
+            const T *wx = matrix<T>(layer.wx);
+            const T *wh = matrix<T>(layer.wh);
             const T *bias = weight<T>(layer.bias);
             T *hl = ws.h.data() + size_t(l) * per_layer;
             T *cl = ws.c.data() + size_t(l) * per_layer;

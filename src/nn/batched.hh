@@ -31,10 +31,11 @@
  * In Precision::kF64 every per-lane arithmetic operation replicates
  * the graph engine's per-element expression shape and k-ascending
  * accumulation order exactly — the matvec kernel is literally the
- * same template (nn/matvec_inl.hh), and both shortcuts above are
- * value-exact — so a batched forward pass is bit-identical to
- * running each lane through its own Graph, regardless of batch
- * size, submission order or the lengths of the other lanes.
+ * same one on the same packed panels (nn/matvec_inl.hh), and both
+ * shortcuts above are value-exact — so a batched forward pass is
+ * bit-identical to running each lane through its own Graph,
+ * regardless of batch size, submission order or the lengths of the
+ * other lanes.
  * tests/test_nn_batched.cc and the golden suite lock this in.
  *
  * # Ragged batches and masking
@@ -238,6 +239,13 @@ class BatchedForward
 
     /** Base pointer of parameter @p index in the working precision. */
     template <typename T> const T *weight(int index) const;
+
+    /**
+     * Parameter @p index as a matvec weight operand: its packed
+     * panel in f64, the row-major f32 panel in f32 (the layouts
+     * nn/matvec_inl.hh's matvecForward expects).
+     */
+    template <typename T> const T *matrix(int index) const;
 
     template <typename T> void runImpl(const LstmStackRef &stack);
     template <typename T>

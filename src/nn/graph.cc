@@ -9,7 +9,9 @@
  * the golden-regression suite (tests/golden/). When touching a
  * backward case, keep the expression associativity exactly as
  * written; (g * y) * (1 - y) and g * (y * (1 - y)) differ in the
- * last ulp.
+ * last ulp. The matvec forward and backward kernels come from the
+ * runtime-selected kernel table (nn/matvec_dispatch.hh), whose every
+ * path keeps that order too.
  */
 
 #include "nn/graph.hh"
@@ -220,22 +222,42 @@ checkSameShape(int ar, int ac, int br, int bc, const char *op)
 
 } // namespace
 
-namespace
-{
+// -------------------------------------------------------------- PanelCache
 
-/**
- * out = W x: the shared ILP-blocked kernel (nn/matvec_inl.hh),
- * instantiated at double. The batched executor runs the same
- * template, which is what keeps the two engines bit-identical.
- */
-inline void
-matvecForward(const double *__restrict w, const double *__restrict x,
-              double *__restrict out, int rows, int cols)
+const double *
+PanelCache::panel(const double *w, int rows, int cols)
 {
-    matvecForwardT(w, x, out, rows, cols);
+    // Packing under the lock is fine: it happens once per weight per
+    // batch, and a racing shard needs the same panel anyway.
+    std::lock_guard lock(mutex_);
+    Entry *entry = nullptr;
+    for (Entry &e : entries_) {
+        if (e.w == w && e.rows == rows && e.cols == cols) {
+            entry = &e;
+            break;
+        }
+    }
+    if (!entry) {
+        entry = &entries_.emplace_back();
+        entry->w = w;
+        entry->rows = rows;
+        entry->cols = cols;
+        entry->data.resize(size_t(rows) * cols);
+    }
+    if (!entry->packed) {
+        packPanel(w, entry->data.data(), rows, cols);
+        entry->packed = true;
+    }
+    return entry->data.data();
 }
 
-} // namespace
+void
+PanelCache::reset()
+{
+    entries_.remove_if([](const Entry &e) { return !e.packed; });
+    for (Entry &e : entries_)
+        e.packed = false;
+}
 
 Var
 Graph::pushNode(Op op, int rows, int cols, bool requires_grad,
@@ -269,6 +291,27 @@ Graph::pushAliasNode(Op op, int rows, int cols, bool requires_grad,
         n.grad = garena_.alloc(size_t(rows) * cols);
     nodes_.push_back(n);
     return Var{int32_t(nodes_.size()) - 1};
+}
+
+void
+Graph::weightMatvec(Var w, const double *x, double *out)
+{
+    Node &wn = node(w);
+    if (wn.op != Op::Param) {
+        matvecForwardScalarT(wn.val, x, out, wn.rows, wn.cols);
+        return;
+    }
+    if (!wn.aux) {
+        if (panelCache_) {
+            // Read-only like the weight itself; aux is just the slot.
+            wn.aux = const_cast<double *>(
+                panelCache_->panel(wn.val, wn.rows, wn.cols));
+        } else {
+            wn.aux = varena_.alloc(size_t(wn.rows) * wn.cols);
+            packPanel(wn.val, wn.aux, wn.rows, wn.cols);
+        }
+    }
+    matvecForward(wn.aux, x, out, wn.rows, wn.cols);
 }
 
 TensorView
@@ -386,7 +429,7 @@ Graph::matmul(Var a, Var b)
         if (refKernels_)
             refMatvecForward(av, bv, n.val, m, k);
         else
-            matvecForward(av, bv, n.val, m, k);
+            weightMatvec(a, bv, n.val);
     } else {
         std::memset(n.val, 0, size_t(m) * cols * sizeof(double));
         for (int i = 0; i < m; ++i) {
@@ -626,11 +669,10 @@ Graph::linear(Var w, Var x, Var b, Act act)
     n.b = x.id;
     n.c = b.id;
     n.act = act;
-    const double *wv = node(w).val;
     const double *xv = node(x).val;
     const double *bv = node(b).val;
-    const int out = n.rows, in = node(x).rows;
-    matvecForward(wv, xv, n.val, out, in);
+    const int out = n.rows;
+    weightMatvec(w, xv, n.val);
     for (int i = 0; i < out; ++i) {
         const double z = n.val[i] + bv[i];
         switch (act) {
@@ -687,8 +729,6 @@ Graph::lstmStep(Var wx, Var wh, Var bias, Var x, Var h, Var c)
     extraVars_.push_back(h.id);
     extraVars_.push_back(c.id);
 
-    const double *wxv = node(wx).val;
-    const double *whv = node(wh).val;
     const double *bv = node(bias).val;
     const double *xv = node(x).val;
     const double *hv = node(h).val;
@@ -700,8 +740,8 @@ Graph::lstmStep(Var wx, Var wh, Var bias, Var x, Var h, Var c)
     // engine's summation order. The dz scratch area doubles as a
     // forward temporary for the Wh h product.
     double *scratch = n.aux + 5 * hidden;
-    matvecForward(wxv, xv, gates, 4 * hidden, in);
-    matvecForward(whv, hv, scratch, 4 * hidden, hidden);
+    weightMatvec(wx, xv, gates);
+    weightMatvec(wh, hv, scratch);
     for (int r = 0; r < 4 * hidden; ++r)
         gates[r] = (gates[r] + scratch[r]) + bv[r];
     // Gate activations and the state update, gate order [i f g o].
@@ -833,36 +873,20 @@ namespace
 /**
  * dW[i,:] += dz_i * x^T and dx += W^T dz, in reference order (rows
  * ascending, the dz_i == 0 rows skipped exactly as the primitive
- * matmul backward does). The __restrict qualifiers are sound —
- * values and gradients live in separate arenas — and let the
- * elementwise update loops vectorize.
+ * matmul backward does), through the selected kernel table's
+ * rank-1 and transposed entries. Values and gradients live in
+ * separate arenas, so no operand aliases another.
  */
 inline void
-matvecBackward(const double *__restrict wv, double *__restrict wgrad,
-               bool w_live, const double *__restrict xv,
-               double *__restrict xgrad, bool x_live, int rows,
-               int cols, const double *__restrict dz)
+matvecBackward(const double *wv, double *wgrad, bool w_live,
+               const double *xv, double *xgrad, bool x_live, int rows,
+               int cols, const double *dz)
 {
-    if (w_live) {
-        for (int i = 0; i < rows; ++i) {
-            const double dci = dz[i];
-            if (dci == 0.0)
-                continue;
-            double *wrow = wgrad + size_t(i) * cols;
-            for (int k = 0; k < cols; ++k)
-                wrow[k] += dci * xv[k];
-        }
-    }
-    if (x_live) {
-        for (int i = 0; i < rows; ++i) {
-            const double dci = dz[i];
-            if (dci == 0.0)
-                continue;
-            const double *wrow = wv + size_t(i) * cols;
-            for (int k = 0; k < cols; ++k)
-                xgrad[k] += wrow[k] * dci;
-        }
-    }
+    const MatvecKernels &kernels = matvecKernels();
+    if (w_live)
+        kernels.rankOneF64(wgrad, dz, xv, rows, cols);
+    if (x_live)
+        kernels.transposedF64(wv, dz, xgrad, rows, cols);
 }
 
 } // namespace

@@ -34,6 +34,18 @@
  * current tape from scratch; parameter gradients still *accumulate*
  * into the caller's Grads sinks.
  *
+ * # Weight panels
+ *
+ * The forward matvec kernels read a weight as its packed f64 panel
+ * (nn/matvec_dispatch.hh's packPanel). A parameter leaf gets its
+ * panel on its first use as a matvec weight: from the shared
+ * PanelCache attached with setPanelCache() when there is one (the
+ * shard graphs of one training batch share a single packed copy; the
+ * serving reference path shares its WeightSnapshot's), otherwise
+ * packed into this graph's value arena, where clear() drops it with
+ * the rest of the tape. Matrices that are not parameters run the
+ * scalar reference kernel on their row-major values.
+ *
  * # Fused ops
  *
  * The dominant multi-node patterns have single-node fused forms with
@@ -62,7 +74,9 @@
 #define DIFFTUNE_NN_GRAPH_HH
 
 #include <cstdint>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "nn/tensor.hh"
@@ -206,6 +220,42 @@ class DoubleArena
     size_t used_ = 0; ///< total doubles since reset()
 };
 
+/**
+ * Packed f64 weight panels shared by several graphs — the shard
+ * graphs of one training batch. Keyed by the weight's storage
+ * address and shape; panel() packs on first use and is thread-safe.
+ * A panel is a snapshot of the weight, so the weights must not
+ * change between one reset() and the next: call reset() before each
+ * batch, after the previous optimizer step. reset() keeps the
+ * buffers of the weights used since the last reset (a training loop
+ * repacks into the same memory every batch) and frees the rest.
+ */
+class PanelCache
+{
+  public:
+    /**
+     * The panel of row-major @p w (rows x cols), packed on the first
+     * call since the last reset(). Valid until the next reset().
+     */
+    const double *panel(const double *w, int rows, int cols);
+
+    /** Invalidate every panel; not concurrent with panel(). */
+    void reset();
+
+  private:
+    struct Entry
+    {
+        const double *w = nullptr;
+        int rows = 0;
+        int cols = 0;
+        bool packed = false;
+        std::vector<double> data;
+    };
+
+    std::mutex mutex_;
+    std::list<Entry> entries_; ///< node-based: panel() never moves one
+};
+
 /** Reusable reverse-mode tape (see file comment for the lifecycle). */
 class Graph
 {
@@ -322,6 +372,13 @@ class Graph
     size_t numNodes() const { return nodes_.size(); }
 
     /**
+     * Take parameter panels from @p cache (shared, not owned; null
+     * packs them into this graph). The cache must outlive the graph
+     * or be detached first.
+     */
+    void setPanelCache(PanelCache *cache) { panelCache_ = cache; }
+
+    /**
      * Route the primitive matmul's matrix-vector paths through the
      * frozen pre-rewrite kernels (nn/ref_kernels.cc). Bit-identical
      * results, pre-rewrite speed — the "old" side of
@@ -380,7 +437,8 @@ class Graph
         int cols = 0;
         double *val = nullptr;  ///< value, varena_ (Slice: aliased)
         double *grad = nullptr; ///< gradient, garena_ (if needed)
-        double *aux = nullptr;  ///< fused-op saved state / scratch
+        /** Fused-op saved state / scratch; Param: its panel (lazy). */
+        double *aux = nullptr;
         int32_t a = -1, b = -1, c = -1; ///< operand node ids
         int32_t extra = -1; ///< offset into extraVars_ / extraData_
         int32_t i0 = 0, i1 = 0; ///< small int payload
@@ -408,6 +466,13 @@ class Graph
 
     void backwardNode(Node &n);
 
+    /**
+     * out = W x for weight node @p w: through W's panel when W is a
+     * parameter (packed on first use, see the file comment), else
+     * with the scalar reference kernel.
+     */
+    void weightMatvec(Var w, const double *x, double *out);
+
     std::vector<Node> nodes_;
     /** (param-set address ^ index ^ row) -> node cache. */
     std::vector<std::pair<uint64_t, Var>> paramCache_;
@@ -417,7 +482,8 @@ class Graph
     std::vector<double> extraData_;
     DoubleArena varena_; ///< values + fused-op aux
     DoubleArena garena_; ///< gradients (zeroed per backward())
-    bool refKernels_ = false; ///< see setReferenceKernels()
+    bool refKernels_ = false;          ///< see setReferenceKernels()
+    PanelCache *panelCache_ = nullptr; ///< see setPanelCache()
 };
 
 } // namespace difftune::nn

@@ -1,19 +1,30 @@
 /**
  * @file
- * AVX2 forward matvec kernels, bit-identical to the scalar
- * reference.
+ * AVX2 kernels of the LSTM training step, bit-identical to the
+ * scalar set in nn/matvec_dispatch.cc.
  *
- * The vectorization is *across rows*: 4 f64 (8 f32) rows share one
- * 256-bit accumulator, one row per lane. Each step loads a square
- * block of the weight matrix, transposes it in registers to column
- * vectors, and accumulates column k against the broadcast x[k] with
- * separate mul and add intrinsics — so every lane performs exactly
- * the scalar kernel's operation sequence: products and sums rounded
- * individually, in k-ascending order, per row. No FMA is used and
- * the file is compiled with -ffp-contract=off, so the compiler
- * cannot fuse a mul+add into one rounding. Remainder columns gather
- * scalars into a vector (same arithmetic); remainder rows run the
- * plain scalar loop (a row's sum does not depend on the blocking).
+ *  - avx2PanelF64 (forward, f64): vectorized *across rows*, one row
+ *    per lane. The packed panel stores each 4-row block k-major, so
+ *    column k of a block is one 4-double load; four blocks (16 rows)
+ *    run as four independent accumulator chains. Remainder blocks
+ *    run one chain, the rows % 4 tail the plain scalar loop.
+ *  - avx2F32 (forward, f32): 8 rows per register from row-major W;
+ *    each step loads an 8x8 block and transposes it in registers to
+ *    column vectors. Remainder columns gather scalars into a vector,
+ *    remainder rows run the scalar loop.
+ *  - avx2RankOneF64 (dW += dz x^T): 4 columns of one dW row per
+ *    register.
+ *  - avx2TransposedF64 (dx += W^T dz): a 16-column tile of dx stays
+ *    in four registers across the whole row sweep instead of being
+ *    loaded and stored once per row; 4-column tiles and scalar
+ *    columns take the remainder.
+ *
+ * In every kernel each lane performs exactly the scalar kernel's
+ * operation sequence for its output element: forward sums in
+ * k-ascending order, backward updates in row-ascending order with
+ * the dz_i == 0 rows skipped, products and sums rounded separately.
+ * No FMA is used and the file is compiled with -ffp-contract=off,
+ * so the compiler cannot fuse a mul+add into one rounding.
  *
  * Built only when the compiler accepts -mavx2 (the dispatcher gets
  * a null provider otherwise) and *executed* only after cpuid
@@ -34,57 +45,124 @@ namespace difftune::nn
 namespace
 {
 
-void
-avx2F64(const double *w, const double *x, double *out, int rows,
-        int cols)
+/** acc + col * xk with separate roundings (the scalar `s += w * x`). */
+inline __m256d
+mulAdd(__m256d acc, __m256d col, __m256d xk)
 {
+    return _mm256_add_pd(acc, _mm256_mul_pd(col, xk));
+}
+
+void
+avx2PanelF64(const double *panel, const double *x, double *out,
+             int rows, int cols)
+{
+    const int full = rows - rows % 4;
+    const size_t block = size_t(4) * cols;
     int r = 0;
-    for (; r + 4 <= rows; r += 4) {
-        const double *w0 = w + size_t(r) * cols;
-        const double *w1 = w0 + cols;
-        const double *w2 = w1 + cols;
-        const double *w3 = w2 + cols;
-        __m256d acc = _mm256_setzero_pd();
-        int k = 0;
-        for (; k + 4 <= cols; k += 4) {
-            const __m256d a0 = _mm256_loadu_pd(w0 + k);
-            const __m256d a1 = _mm256_loadu_pd(w1 + k);
-            const __m256d a2 = _mm256_loadu_pd(w2 + k);
-            const __m256d a3 = _mm256_loadu_pd(w3 + k);
-            // 4x4 transpose: col[j][lane] = w_lane[k + j].
-            const __m256d t0 = _mm256_unpacklo_pd(a0, a1);
-            const __m256d t1 = _mm256_unpackhi_pd(a0, a1);
-            const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
-            const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
-            const __m256d c0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-            const __m256d c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-            const __m256d c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-            const __m256d c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-            // Separate mul/add per column, columns in k order: each
-            // lane rounds exactly like the scalar accumulator.
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(c0, _mm256_set1_pd(x[k])));
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(c1, _mm256_set1_pd(x[k + 1])));
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(c2, _mm256_set1_pd(x[k + 2])));
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(c3, _mm256_set1_pd(x[k + 3])));
+    for (; r + 16 <= full; r += 16) {
+        const double *p0 = panel + size_t(r) * cols;
+        const double *p1 = p0 + block;
+        const double *p2 = p1 + block;
+        const double *p3 = p2 + block;
+        __m256d a0 = _mm256_setzero_pd();
+        __m256d a1 = _mm256_setzero_pd();
+        __m256d a2 = _mm256_setzero_pd();
+        __m256d a3 = _mm256_setzero_pd();
+        for (int k = 0; k < cols; ++k) {
+            const __m256d xk = _mm256_broadcast_sd(x + k);
+            a0 = mulAdd(a0, _mm256_loadu_pd(p0 + 4 * k), xk);
+            a1 = mulAdd(a1, _mm256_loadu_pd(p1 + 4 * k), xk);
+            a2 = mulAdd(a2, _mm256_loadu_pd(p2 + 4 * k), xk);
+            a3 = mulAdd(a3, _mm256_loadu_pd(p3 + 4 * k), xk);
         }
-        for (; k < cols; ++k) {
-            const __m256d col =
-                _mm256_set_pd(w3[k], w2[k], w1[k], w0[k]);
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(col, _mm256_set1_pd(x[k])));
-        }
-        _mm256_storeu_pd(out + r, acc);
+        _mm256_storeu_pd(out + r, a0);
+        _mm256_storeu_pd(out + r + 4, a1);
+        _mm256_storeu_pd(out + r + 8, a2);
+        _mm256_storeu_pd(out + r + 12, a3);
+    }
+    for (; r < full; r += 4) {
+        const double *p0 = panel + size_t(r) * cols;
+        __m256d a0 = _mm256_setzero_pd();
+        for (int k = 0; k < cols; ++k)
+            a0 = mulAdd(a0, _mm256_loadu_pd(p0 + 4 * k),
+                        _mm256_broadcast_sd(x + k));
+        _mm256_storeu_pd(out + r, a0);
     }
     for (; r < rows; ++r) {
-        const double *wr = w + size_t(r) * cols;
+        const double *wr = panel + size_t(r) * cols;
         double sum = 0;
         for (int k = 0; k < cols; ++k)
             sum += wr[k] * x[k];
         out[r] = sum;
+    }
+}
+
+void
+avx2RankOneF64(double *dw, const double *dz, const double *x, int rows,
+               int cols)
+{
+    for (int i = 0; i < rows; ++i) {
+        const double dzi = dz[i];
+        if (dzi == 0.0)
+            continue;
+        const __m256d d = _mm256_set1_pd(dzi);
+        double *row = dw + size_t(i) * cols;
+        int k = 0;
+        for (; k + 4 <= cols; k += 4)
+            _mm256_storeu_pd(row + k,
+                             mulAdd(_mm256_loadu_pd(row + k), d,
+                                    _mm256_loadu_pd(x + k)));
+        for (; k < cols; ++k)
+            row[k] += dzi * x[k];
+    }
+}
+
+void
+avx2TransposedF64(const double *w, const double *dz, double *dx,
+                  int rows, int cols)
+{
+    int k = 0;
+    for (; k + 16 <= cols; k += 16) {
+        __m256d a0 = _mm256_loadu_pd(dx + k);
+        __m256d a1 = _mm256_loadu_pd(dx + k + 4);
+        __m256d a2 = _mm256_loadu_pd(dx + k + 8);
+        __m256d a3 = _mm256_loadu_pd(dx + k + 12);
+        for (int i = 0; i < rows; ++i) {
+            const double dzi = dz[i];
+            if (dzi == 0.0)
+                continue;
+            const __m256d d = _mm256_set1_pd(dzi);
+            const double *wr = w + size_t(i) * cols + k;
+            a0 = mulAdd(a0, _mm256_loadu_pd(wr), d);
+            a1 = mulAdd(a1, _mm256_loadu_pd(wr + 4), d);
+            a2 = mulAdd(a2, _mm256_loadu_pd(wr + 8), d);
+            a3 = mulAdd(a3, _mm256_loadu_pd(wr + 12), d);
+        }
+        _mm256_storeu_pd(dx + k, a0);
+        _mm256_storeu_pd(dx + k + 4, a1);
+        _mm256_storeu_pd(dx + k + 8, a2);
+        _mm256_storeu_pd(dx + k + 12, a3);
+    }
+    for (; k + 4 <= cols; k += 4) {
+        __m256d a0 = _mm256_loadu_pd(dx + k);
+        for (int i = 0; i < rows; ++i) {
+            const double dzi = dz[i];
+            if (dzi == 0.0)
+                continue;
+            a0 = mulAdd(a0, _mm256_loadu_pd(w + size_t(i) * cols + k),
+                        _mm256_set1_pd(dzi));
+        }
+        _mm256_storeu_pd(dx + k, a0);
+    }
+    for (; k < cols; ++k) {
+        double sum = dx[k];
+        for (int i = 0; i < rows; ++i) {
+            const double dzi = dz[i];
+            if (dzi == 0.0)
+                continue;
+            sum += w[size_t(i) * cols + k] * dzi;
+        }
+        dx[k] = sum;
     }
 }
 
@@ -166,7 +244,8 @@ avx2F32(const float *w, const float *x, float *out, int rows,
     }
 }
 
-const MatvecKernels avx2Kernels{avx2F64, avx2F32, "avx2"};
+const MatvecKernels avx2Kernels{avx2PanelF64, avx2F32, avx2RankOneF64,
+                                avx2TransposedF64, "avx2"};
 
 } // namespace
 

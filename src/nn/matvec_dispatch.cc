@@ -1,12 +1,15 @@
 /**
  * @file
- * Runtime matvec path selection: scalar unless AVX2 kernels were
- * compiled in AND cpuid reports AVX2, with DIFFTUNE_FORCE_SCALAR
- * pinning the scalar path. Selected once per process (bit-stability
- * of cached predictions forbids switching mid-run).
+ * The scalar kernel set, the panel packer and the runtime path
+ * selection: scalar unless AVX2 kernels were compiled in AND cpuid
+ * reports AVX2, with DIFFTUNE_FORCE_SCALAR pinning the scalar path.
+ * Selected once per process (bit-stability of cached predictions
+ * forbids switching mid-run).
  */
 
 #include "nn/matvec_dispatch.hh"
+
+#include <cstddef>
 
 #include "base/env.hh"
 #include "nn/matvec_inl.hh"
@@ -17,11 +20,47 @@ namespace difftune::nn
 namespace
 {
 
+/**
+ * out = W x from the panel, two 4-row blocks (eight independent
+ * accumulator chains) at a time; each row's sum keeps the
+ * reference k-ascending order.
+ */
 void
-scalarF64(const double *w, const double *x, double *out, int rows,
-          int cols)
+scalarPanelF64(const double *__restrict panel, const double *__restrict x,
+               double *__restrict out, int rows, int cols)
 {
-    matvecForwardScalarT(w, x, out, rows, cols);
+    const int full = rows - rows % 4;
+    int r = 0;
+    for (; r + 8 <= full; r += 8) {
+        const double *p0 = panel + size_t(r) * cols;
+        const double *p1 = p0 + size_t(4) * cols;
+        double s[8] = {};
+        for (int k = 0; k < cols; ++k) {
+            const double xk = x[k];
+            for (int j = 0; j < 4; ++j) {
+                s[j] += p0[4 * k + j] * xk;
+                s[4 + j] += p1[4 * k + j] * xk;
+            }
+        }
+        for (int j = 0; j < 8; ++j)
+            out[r + j] = s[j];
+    }
+    for (; r < full; r += 4) {
+        const double *p0 = panel + size_t(r) * cols;
+        double s[4] = {};
+        for (int k = 0; k < cols; ++k)
+            for (int j = 0; j < 4; ++j)
+                s[j] += p0[4 * k + j] * x[k];
+        for (int j = 0; j < 4; ++j)
+            out[r + j] = s[j];
+    }
+    for (; r < rows; ++r) {
+        const double *wr = panel + size_t(r) * cols;
+        double sum = 0;
+        for (int k = 0; k < cols; ++k)
+            sum += wr[k] * x[k];
+        out[r] = sum;
+    }
 }
 
 void
@@ -31,8 +70,39 @@ scalarF32(const float *w, const float *x, float *out, int rows,
     matvecForwardScalarT(w, x, out, rows, cols);
 }
 
-const MatvecKernels scalarKernels{scalarF64, scalarF32, "scalar"};
-const MatvecKernels forcedKernels{scalarF64, scalarF32,
+void
+scalarRankOneF64(double *__restrict dw, const double *__restrict dz,
+                 const double *__restrict x, int rows, int cols)
+{
+    for (int i = 0; i < rows; ++i) {
+        const double dzi = dz[i];
+        if (dzi == 0.0)
+            continue;
+        double *row = dw + size_t(i) * cols;
+        for (int k = 0; k < cols; ++k)
+            row[k] += dzi * x[k];
+    }
+}
+
+void
+scalarTransposedF64(const double *__restrict w, const double *__restrict dz,
+                    double *__restrict dx, int rows, int cols)
+{
+    for (int i = 0; i < rows; ++i) {
+        const double dzi = dz[i];
+        if (dzi == 0.0)
+            continue;
+        const double *row = w + size_t(i) * cols;
+        for (int k = 0; k < cols; ++k)
+            dx[k] += row[k] * dzi;
+    }
+}
+
+const MatvecKernels scalarKernels{scalarPanelF64, scalarF32,
+                                  scalarRankOneF64, scalarTransposedF64,
+                                  "scalar"};
+const MatvecKernels forcedKernels{scalarPanelF64, scalarF32,
+                                  scalarRankOneF64, scalarTransposedF64,
                                   "scalar (forced)"};
 
 const MatvecKernels &
@@ -49,6 +119,22 @@ selectKernels()
 }
 
 } // namespace
+
+void
+packPanel(const double *__restrict w, double *__restrict panel, int rows,
+          int cols)
+{
+    const int full = rows - rows % 4;
+    for (int r = 0; r < full; r += 4) {
+        const double *src = w + size_t(r) * cols;
+        double *dst = panel + size_t(r) * cols;
+        for (int k = 0; k < cols; ++k)
+            for (int j = 0; j < 4; ++j)
+                dst[4 * k + j] = src[size_t(j) * cols + k];
+    }
+    for (size_t i = size_t(full) * cols; i < size_t(rows) * cols; ++i)
+        panel[i] = w[i];
+}
 
 bool
 cpuSupportsAvx2()

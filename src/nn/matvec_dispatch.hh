@@ -1,26 +1,35 @@
 /**
  * @file
- * Runtime-dispatched forward matvec kernels.
+ * Runtime-dispatched matrix kernels of the LSTM training step.
  *
  * One process-wide selection, made on first use, routes every
  * forward matvec (autograd engine, batched executor, snapshot
- * projections — all via nn/matvec_inl.hh) to either the portable
- * scalar kernel or the AVX2 kernel:
+ * projections — via nn/matvec_inl.hh) and both matvec backward
+ * updates (nn/graph.cc) to either the portable scalar kernels or
+ * the AVX2 kernels. The table holds:
  *
- *  - scalar: the ILP-blocked reference in matvec_inl.hh.
- *  - avx2:   vectorized *across rows* (4 f64 / 8 f32 rows per
- *            256-bit register) with each lane's accumulation kept in
- *            k-ascending order and no FMA contraction, so both f64
- *            and f32 results are bit-identical to the scalar kernel
- *            (tests/test_frontend.cc proves it exhaustively; the
- *            golden suites re-prove it end to end). Selected only
- *            when the kernels were compiled in AND cpuid reports
- *            AVX2.
+ *  - panelF64:      out = W x from W's packed f64 panel (packPanel);
+ *  - f32:           out = W x from row-major f32 W;
+ *  - rankOneF64:    dW += dz x^T (row-major dW);
+ *  - transposedF64: dx += W^T dz (row-major W).
  *
- * Because every caller goes through the one dispatch point, the f64
- * bit-exactness contract (batched == sequential reference) holds
- * per selected path by construction — both sides of any comparison
- * always run the same kernel.
+ * Paths:
+ *
+ *  - scalar: portable loops in matvec_dispatch.cc (the forward ones
+ *            blocked for ILP like the reference in matvec_inl.hh).
+ *  - avx2:   the forwards vectorized *across rows* (one row per
+ *            lane: 4 f64 rows per register straight from the panel,
+ *            8 f32 rows per register via an in-register transpose),
+ *            the backwards across columns (4 dW or dx elements per
+ *            register). Selected only when the kernels were compiled
+ *            in AND cpuid reports AVX2.
+ *
+ * Every kernel on every path keeps each output element's operation
+ * sequence — forward sums k-ascending, backward updates
+ * row-ascending with the dz_i == 0 rows skipped, separate multiply
+ * and add, no FMA — so the selection changes speed, never a bit
+ * (tests/test_frontend.cc proves it kernel by kernel; the golden
+ * suites re-prove it end to end).
  *
  * Setting DIFFTUNE_FORCE_SCALAR (non-empty, not "0") pins the
  * scalar path; CI runs the nn + serve suites both ways.
@@ -32,26 +41,42 @@
 namespace difftune::nn
 {
 
-/** out = W x (row-major W, rows x cols) in double precision. */
-using MatvecF64Fn = void (*)(const double *w, const double *x,
-                             double *out, int rows, int cols);
-/** out = W x in single precision. */
+/** out = W x in double precision, W given as its packed panel. */
+using PanelMatvecF64Fn = void (*)(const double *panel, const double *x,
+                                  double *out, int rows, int cols);
+/** out = W x in single precision (row-major W, rows x cols). */
 using MatvecF32Fn = void (*)(const float *w, const float *x,
                              float *out, int rows, int cols);
+/** dW[i,:] += dz_i * x^T for every row i with dz_i != 0. */
+using RankOneF64Fn = void (*)(double *dw, const double *dz,
+                              const double *x, int rows, int cols);
+/** dx += W^T dz, rows ascending, rows with dz_i == 0 skipped. */
+using TransposedF64Fn = void (*)(const double *w, const double *dz,
+                                 double *dx, int rows, int cols);
 
-/** One selectable matvec implementation pair. */
+/** One selectable kernel set. */
 struct MatvecKernels
 {
-    MatvecF64Fn f64 = nullptr;
+    PanelMatvecF64Fn panelF64 = nullptr;
     MatvecF32Fn f32 = nullptr;
+    RankOneF64Fn rankOneF64 = nullptr;
+    TransposedF64Fn transposedF64 = nullptr;
     const char *name = "";
 };
 
 /**
+ * Pack row-major @p w (rows x cols) into its f64 panel: each full
+ * block of 4 rows is stored k-major, panel[r*cols + 4k + j] =
+ * W[r+j][k], so one 4-double load yields column k of the block;
+ * the rows % 4 tail rows stay row-major. Same size as W. Pure data
+ * movement, identical on every path.
+ */
+void packPanel(const double *w, double *panel, int rows, int cols);
+
+/**
  * The process-wide selected kernels. The choice is made once, on
  * first call (cpuid probe + DIFFTUNE_FORCE_SCALAR override), and
- * never changes — switching mid-process would break the
- * bit-stability of cached predictions.
+ * never changes.
  */
 const MatvecKernels &matvecKernels();
 

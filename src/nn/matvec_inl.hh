@@ -1,26 +1,26 @@
 /**
  * @file
- * The matrix-vector kernel shared by the autograd engine
+ * The forward matvec entry points shared by the autograd engine
  * (nn/graph.cc), the batched forward executor (nn/batched.cc) and
- * the snapshot projection tables (nn/snapshot.cc).
+ * the snapshot projection tables (nn/snapshot.cc), plus the scalar
+ * reference kernel.
  *
  * Internal header: include only from nn/ translation units. Every
- * engine must run the *same* kernel so their results are
- * bit-identical by construction — matvecForwardT routes through the
+ * engine must run the *same* kernels so their results are
+ * bit-identical by construction — matvecForward routes through the
  * one runtime dispatch point (nn/matvec_dispatch.hh), which selects
- * the scalar or the AVX2 implementation once per process. Both
- * implementations keep each row's accumulation in the reference
- * k-ascending order with no FMA contraction, so the selection can
- * never change results, only speed; if you change the accumulation
- * order anywhere you change the numerics contract of every engine
- * (see tests/golden/).
+ * the scalar or the AVX2 kernel set once per process. Every kernel
+ * keeps each row's accumulation in the reference k-ascending order
+ * with no FMA contraction, so the selection can never change
+ * results, only speed; if you change the accumulation order
+ * anywhere you change the numerics contract of every engine (see
+ * tests/golden/).
  */
 
 #ifndef DIFFTUNE_NN_MATVEC_INL_HH
 #define DIFFTUNE_NN_MATVEC_INL_HH
 
 #include <cstddef>
-#include <type_traits>
 
 #include "nn/matvec_dispatch.hh"
 
@@ -28,10 +28,13 @@ namespace difftune::nn
 {
 
 /**
- * Portable reference kernel: out = W x for a column vector x,
- * blocked eight rows at a time — eight independent accumulator
- * chains give the FMA units ILP while each row's sum keeps the
- * reference k-ascending order, so the blocking is bit-transparent.
+ * Portable reference kernel: out = W x for row-major W and a column
+ * vector x, blocked eight rows at a time — eight independent
+ * accumulator chains give the FMA units ILP while each row's sum
+ * keeps the reference k-ascending order, so the blocking is
+ * bit-transparent. It is the scalar f32 kernel and the graph's
+ * kernel for matrices that are not parameters (and so have no
+ * panel).
  */
 template <typename T>
 inline void
@@ -98,22 +101,23 @@ matvecForwardScalarT(const T *__restrict w, const T *__restrict x,
 }
 
 /**
- * The dispatch point every nn/ engine calls: routes f64/f32 through
- * the process-wide selected kernels (scalar until AVX2 is both
- * compiled in and reported by cpuid; DIFFTUNE_FORCE_SCALAR pins
- * scalar). Bit-identical across paths — see matvec_dispatch.hh.
+ * The forward dispatch points every nn/ engine calls. The weight
+ * operand's layout follows the precision: the f64 kernels read W's
+ * packed panel (packPanel), the f32 kernels row-major W. Both run
+ * the process-wide selected kernels — see matvec_dispatch.hh.
  */
-template <typename T>
 inline void
-matvecForwardT(const T *__restrict w, const T *__restrict x,
-               T *__restrict out, int rows, int cols)
+matvecForward(const double *__restrict panel, const double *__restrict x,
+              double *__restrict out, int rows, int cols)
 {
-    if constexpr (std::is_same_v<T, double>)
-        matvecKernels().f64(w, x, out, rows, cols);
-    else if constexpr (std::is_same_v<T, float>)
-        matvecKernels().f32(w, x, out, rows, cols);
-    else
-        matvecForwardScalarT(w, x, out, rows, cols);
+    matvecKernels().panelF64(panel, x, out, rows, cols);
+}
+
+inline void
+matvecForward(const float *__restrict w, const float *__restrict x,
+              float *__restrict out, int rows, int cols)
+{
+    matvecKernels().f32(w, x, out, rows, cols);
 }
 
 } // namespace difftune::nn

@@ -1,7 +1,7 @@
 /**
  * @file
- * WeightSnapshot implementation: lazy f32 panels and the lock-free
- * projection-table cache.
+ * WeightSnapshot implementation: lazy f64 and f32 panels and the
+ * lock-free projection-table cache.
  */
 
 #include "nn/snapshot.hh"
@@ -16,13 +16,14 @@ WeightSnapshot::WeightSnapshot(const ParamSet &params,
     : params_(params), owner_(std::move(owner))
 {
     // Offsets are cheap (one size_t per tensor); precomputing them
-    // here keeps ensureF32 a pure value fill.
-    f32Offsets_.reserve(params.count());
+    // here keeps ensurePanels and ensureF32 pure value fills.
+    offsets_.reserve(params.count() + 1);
     size_t total = 0;
     for (size_t i = 0; i < params.count(); ++i) {
-        f32Offsets_.push_back(total);
+        offsets_.push_back(total);
         total += params[int(i)].size();
     }
+    offsets_.push_back(total);
 }
 
 WeightSnapshot::~WeightSnapshot()
@@ -53,6 +54,23 @@ WeightSnapshot::setInputColumns(std::vector<Tensor> columns)
 }
 
 void
+WeightSnapshot::ensurePanels() const
+{
+    std::call_once(panelsOnce_, [this] {
+        // The one-time packing of every parameter tensor, shared by
+        // every kF64 executor bound to this snapshot (and by graphs
+        // using panelCache()).
+        panelPtrs_.reserve(params_.count());
+        for (size_t i = 0; i < params_.count(); ++i) {
+            const Tensor &t = params_[int(i)];
+            panelPtrs_.push_back(
+                panels_.panel(t.data.data(), t.rows, t.cols));
+        }
+        panelsReady_.store(true, std::memory_order_release);
+    });
+}
+
+void
 WeightSnapshot::ensureF32() const
 {
     std::call_once(f32Once_, [this] {
@@ -60,10 +78,7 @@ WeightSnapshot::ensureF32() const
         // narrowed to float, packed back to back. Shared by every
         // kF32 executor bound to this snapshot, so a W-shard engine
         // pays it once per checkpoint load instead of W times.
-        size_t total = 0;
-        for (size_t i = 0; i < params_.count(); ++i)
-            total += params_[int(i)].size();
-        f32Weights_.reserve(total);
+        f32Weights_.reserve(offsets_.back());
         for (size_t i = 0; i < params_.count(); ++i)
             for (double v : params_[int(i)].data)
                 f32Weights_.push_back(float(v));
@@ -105,7 +120,8 @@ WeightSnapshot::projTable(int wx, int table, int rows, int in_dim) const
         wxv = weightF32(wx);
         tab = weightF32(table);
     } else {
-        wxv = params_[wx].data.data();
+        ensurePanels();
+        wxv = panelF64(wx);
         tab = params_[table].data.data();
     }
     const int table_rows = params_[table].rows;
@@ -114,9 +130,9 @@ WeightSnapshot::projTable(int wx, int table, int rows, int in_dim) const
     node->table = table;
     node->data.resize(size_t(table_rows) * rows);
     for (int row = 0; row < table_rows; ++row)
-        matvecForwardT(wxv, tab + size_t(row) * in_dim,
-                       node->data.data() + size_t(row) * rows, rows,
-                       in_dim);
+        matvecForward(wxv, tab + size_t(row) * in_dim,
+                      node->data.data() + size_t(row) * rows, rows,
+                      in_dim);
 
     ProjNode<T> *expected = head.load(std::memory_order_acquire);
     while (true) {

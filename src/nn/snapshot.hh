@@ -8,32 +8,36 @@
  * the per-(weight, table) input-projection tables — so a W-shard
  * serving engine paid W conversions and held W copies. A
  * WeightSnapshot hoists all of that out of the executor: it borrows
- * the frozen f64 ParamSet in place (zero copy), converts the f32
- * panels lazily (once, on the first kF32 bind), caches input
- * projections once per (weight, table) pair, and can carry the
- * loader's precomputed constant input columns (the serving engine's
- * per-opcode parameter-input tensors). Executors borrow the snapshot
- * through a shared_ptr, so any number of shards — across any number
- * of engines — share one copy of every derived table.
+ * the frozen f64 ParamSet in place (zero copy), packs the f64
+ * matvec panels into a PanelCache lazily (once, on the first kF64
+ * bind), converts the f32 panels lazily (once, on the first kF32
+ * bind), caches input projections once per (weight, table) pair,
+ * and can carry the loader's precomputed constant input columns
+ * (the serving engine's per-opcode parameter-input tensors).
+ * Executors borrow the snapshot through a shared_ptr, so any number
+ * of shards — across any number of engines — share one copy of
+ * every derived table.
  *
  * # Immutability and thread safety
  *
  * The bound ParamSet must stay frozen for the snapshot's lifetime,
  * and the snapshot itself is logically immutable: every query
- * returns the same bytes forever. The two lazy caches are built
- * thread-safely (ensureF32 via std::call_once; projection tables via
- * an append-only lock-free list with acquire/release publication),
- * and both are pure functions of the frozen weights, so a racing
- * reader either sees the published entry or computes the identical
- * value — results never depend on timing. setInputColumns is the
+ * returns the same bytes forever. The lazy caches are built
+ * thread-safely (ensurePanels and ensureF32 via std::call_once;
+ * projection tables via an append-only lock-free list with
+ * acquire/release publication), and all are pure functions of the
+ * frozen weights, so a racing reader either sees the published
+ * entry or computes the identical value — results never depend on
+ * timing. setInputColumns is the
  * one setup-time mutation: call it before the snapshot is shared
  * across threads (the serving engine does so at load time).
  *
- * Bit-exactness: the f64 view is the ParamSet storage itself, f32
- * panels are float(double) per element, and every projected row
- * comes from the shared matvec kernel (nn/matvec_inl.hh) — all
- * identical to what a private-copy executor computed before, so
- * sharing changes memory, never results.
+ * Bit-exactness: the f64 panels are a permutation of the ParamSet
+ * storage, f32 panels are float(double) per element, and every
+ * projected row comes from the shared matvec kernels
+ * (nn/matvec_inl.hh) — all identical to what a private-copy
+ * executor computed before, so sharing changes memory, never
+ * results.
  */
 
 #ifndef DIFFTUNE_NN_SNAPSHOT_HH
@@ -98,6 +102,42 @@ class WeightSnapshot
         return columnsSet_.load(std::memory_order_acquire);
     }
 
+    // ---- f64 matvec panels (lazy)
+
+    /**
+     * Pack every parameter into its f64 matvec panel if not yet
+     * done. Thread-safe and idempotent; called by every kF64
+     * executor bind, so the packing happens once per snapshot.
+     */
+    void ensurePanels() const;
+
+    /** Whether ensurePanels has completed. */
+    bool
+    hasPanels() const
+    {
+        return panelsReady_.load(std::memory_order_acquire);
+    }
+
+    /**
+     * The packed f64 panel of parameter @p index (ensurePanels must
+     * have completed).
+     */
+    const double *
+    panelF64(int index) const
+    {
+        panic_if(!hasPanels(), "panelF64 before ensurePanels");
+        return panelPtrs_[size_t(index)];
+    }
+
+    /**
+     * The cache holding the f64 panels, for autograd graphs that
+     * read the same frozen weights (the serving engine's reference
+     * path): they find the panels already packed instead of packing
+     * their own. Thread-safe; never reset, since the weights are
+     * frozen for the snapshot's lifetime.
+     */
+    PanelCache &panelCache() const { return panels_; }
+
     // ---- f32 panels (lazy)
 
     /**
@@ -123,7 +163,7 @@ class WeightSnapshot
     weightF32(int index) const
     {
         panic_if(!hasF32(), "weightF32 before ensureF32");
-        return f32Weights_.data() + f32Offsets_[size_t(index)];
+        return f32Weights_.data() + offsets_[size_t(index)];
     }
 
     /**
@@ -143,6 +183,13 @@ class WeightSnapshot
 
     /** Bytes of the borrowed f64 ParamSet storage (not owned). */
     size_t f64Bytes() const;
+
+    /** Bytes of the f64 matvec panels (0 until ensurePanels). */
+    size_t
+    panelBytes() const
+    {
+        return hasPanels() ? offsets_.back() * sizeof(double) : 0;
+    }
 
     /** Bytes of the f32 panels (0 until ensureF32). */
     size_t
@@ -166,15 +213,16 @@ class WeightSnapshot
     size_t inputColumnBytes() const;
 
     /**
-     * Bytes of derived state this snapshot deduplicates: everything
-     * a pre-v2 executor would have copied per shard (f32 panels +
-     * projection tables + input columns). The f64 weights are
-     * excluded — they were always read in place.
+     * Bytes of derived state this snapshot holds once for all its
+     * executors (f64 and f32 panels + projection tables + input
+     * columns). The f64 weights themselves are excluded — they are
+     * borrowed in place.
      */
     size_t
     sharedBytes() const
     {
-        return f32Bytes() + projBytes() + inputColumnBytes();
+        return panelBytes() + f32Bytes() + projBytes() +
+               inputColumnBytes();
     }
 
   private:
@@ -195,8 +243,12 @@ class WeightSnapshot
     std::atomic<bool> columnsSet_{false};
     std::vector<Tensor> inputColumns_;
 
-    /** Per-tensor offsets into the f32 panels (precomputed, cheap). */
-    std::vector<size_t> f32Offsets_;
+    /** Per-tensor offsets into both panel sets (precomputed). */
+    std::vector<size_t> offsets_;
+    mutable PanelCache panels_;
+    mutable std::once_flag panelsOnce_;
+    mutable std::vector<const double *> panelPtrs_; ///< per parameter
+    mutable std::atomic<bool> panelsReady_{false};
     mutable std::once_flag f32Once_;
     mutable std::vector<float> f32Weights_;
     mutable std::atomic<bool> f32Ready_{false};

@@ -681,6 +681,8 @@ AsyncEngine::predictUncached(const std::string &block_text) const
 {
     const isa::BasicBlock block = isa::parseBlock(block_text);
     nn::Graph graph;
+    // The snapshot's weights are frozen: reuse its packed panels.
+    graph.setPanelCache(&snapshot_->panelCache());
     return forwardEncoded(graph, surrogate::encodeBlock(block), block);
 }
 

@@ -516,14 +516,25 @@ TEST(FrontendDispatch, SelectionMatchesEnvironmentAndCpu)
     const bool forced =
         force && *force && std::strcmp(force, "0") != 0;
     const nn::MatvecKernels &selected = nn::matvecKernels();
-    ASSERT_NE(nullptr, selected.f64);
+    ASSERT_NE(nullptr, selected.panelF64);
     ASSERT_NE(nullptr, selected.f32);
+    ASSERT_NE(nullptr, selected.rankOneF64);
+    ASSERT_NE(nullptr, selected.transposedF64);
     if (forced)
         EXPECT_STREQ("scalar (forced)", nn::matvecPathName());
     else if (nn::matvecAvx2Kernels() && nn::cpuSupportsAvx2())
         EXPECT_STREQ("avx2", nn::matvecPathName());
     else
         EXPECT_STREQ("scalar", nn::matvecPathName());
+}
+
+/** Bitwise equality of two equally sized arrays. */
+template <typename T>
+bool
+sameBits(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
 TEST(FrontendDispatch, Avx2MatvecBitIdenticalToScalar)
@@ -535,10 +546,12 @@ TEST(FrontendDispatch, Avx2MatvecBitIdenticalToScalar)
 
     std::mt19937_64 rng(0xb17e5);
     std::normal_distribution<double> dist(0.0, 3.0);
-    // Cover every row/col remainder class of both kernels (f64
-    // blocks 4 rows x 4 cols, f32 blocks 8x8), plus larger shapes.
+    // Cover every row/col remainder class of every kernel (f64
+    // forward: 16-row groups of 4-row panel blocks plus tail rows;
+    // f32 forward: 8x8 blocks; W^T dz: 16- and 4-column tiles plus
+    // tail columns), plus larger shapes.
     const int rows_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 23, 40};
-    const int cols_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 33, 64};
+    const int cols_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 17, 31, 33, 50, 64};
     for (int rows : rows_set) {
         for (int cols : cols_set) {
             std::vector<double> w(size_t(rows) * size_t(cols));
@@ -547,26 +560,69 @@ TEST(FrontendDispatch, Avx2MatvecBitIdenticalToScalar)
                 v = dist(rng);
             for (double &v : x)
                 v = dist(rng);
+            const std::string shape =
+                std::to_string(rows) + "x" + std::to_string(cols);
+
+            // Forward f64: pack, then both paths' panel kernels
+            // against the reference k-ascending row sums on the
+            // row-major matrix.
+            std::vector<double> panel(w.size());
+            nn::packPanel(w.data(), panel.data(), rows, cols);
+            std::vector<double> ref(size_t(rows), 0.0);
+            for (int r = 0; r < rows; ++r) {
+                double sum = 0;
+                for (int k = 0; k < cols; ++k)
+                    sum += w[size_t(r) * cols + k] * x[size_t(k)];
+                ref[size_t(r)] = sum;
+            }
+            std::vector<double> got(size_t(rows), 0.0);
+            scalar.panelF64(panel.data(), x.data(), got.data(), rows,
+                            cols);
+            EXPECT_TRUE(sameBits(ref, got)) << "scalar panel " << shape;
+            std::fill(got.begin(), got.end(), 0.0);
+            avx2->panelF64(panel.data(), x.data(), got.data(), rows,
+                           cols);
+            EXPECT_TRUE(sameBits(ref, got)) << "avx2 panel " << shape;
+
+            // Forward f32.
             std::vector<float> wf(w.begin(), w.end());
             std::vector<float> xf(x.begin(), x.end());
-
-            std::vector<double> ref(size_t(rows), 0.0);
-            std::vector<double> got(size_t(rows), 0.0);
-            scalar.f64(w.data(), x.data(), ref.data(), rows, cols);
-            avx2->f64(w.data(), x.data(), got.data(), rows, cols);
-            EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
-                                     ref.size() * sizeof(double)))
-                << "f64 diverged at " << rows << "x" << cols;
-
             std::vector<float> reff(size_t(rows), 0.0f);
             std::vector<float> gotf(size_t(rows), 0.0f);
             scalar.f32(wf.data(), xf.data(), reff.data(), rows,
                        cols);
             avx2->f32(wf.data(), xf.data(), gotf.data(), rows,
                       cols);
-            EXPECT_EQ(0, std::memcmp(reff.data(), gotf.data(),
-                                     reff.size() * sizeof(float)))
-                << "f32 diverged at " << rows << "x" << cols;
+            EXPECT_TRUE(sameBits(reff, gotf)) << "f32 " << shape;
+
+            // Backward: dz holds exact zeros and -0.0 (both rows are
+            // skipped), dx some -0.0 entries (kept -0.0 only while
+            // every row touching them is skipped).
+            std::vector<double> dz(size_t(rows), 0.0);
+            for (int r = 0; r < rows; ++r)
+                dz[size_t(r)] =
+                    r % 3 == 1 ? 0.0 : r % 5 == 2 ? -0.0 : dist(rng);
+            std::vector<double> dw(w.size());
+            std::vector<double> dx(size_t(cols), 0.0);
+            for (double &v : dw)
+                v = dist(rng);
+            for (int k = 0; k < cols; ++k)
+                dx[size_t(k)] = k % 4 == 3 ? -0.0 : dist(rng);
+
+            std::vector<double> dw_ref = dw, dw_got = dw;
+            scalar.rankOneF64(dw_ref.data(), dz.data(), x.data(), rows,
+                              cols);
+            avx2->rankOneF64(dw_got.data(), dz.data(), x.data(), rows,
+                             cols);
+            EXPECT_TRUE(sameBits(dw_ref, dw_got)) << "rank-1 " << shape;
+
+            std::vector<double> dx_ref = dx, dx_got = dx;
+            scalar.transposedF64(w.data(), dz.data(), dx_ref.data(),
+                                 rows, cols);
+            avx2->transposedF64(w.data(), dz.data(), dx_got.data(),
+                                rows, cols);
+            EXPECT_TRUE(sameBits(dx_ref, dx_got))
+                << "W^T dz " << shape;
         }
     }
 }

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <thread>
 
 #include "nn/graph.hh"
 #include "nn/modules.hh"
@@ -317,6 +320,102 @@ TEST(Graph, CachedParamGradAccumulatesAllUses)
     Var y = g.add(x, x); // y = 2w -> dy/dw = 2
     g.backward(g.lossMae(y, 0.0));
     EXPECT_NEAR(grads[w].data[0], 2.0, 1e-12);
+}
+
+/**
+ * One sample of an LSTM stack plus linear head, forward and
+ * backward on @p g; returns the loss, the gradients in @p grads.
+ */
+double
+panelSample(Graph &g, const ParamSet &params, Grads &grads,
+            const LstmStack &stack, const Linear &head, int sample)
+{
+    g.clear();
+    Ctx ctx{g, params, &grads};
+    std::vector<Var> sequence;
+    for (int t = 0; t < 4; ++t) {
+        Tensor xv(5, 1);
+        for (int i = 0; i < 5; ++i)
+            xv.data[size_t(i)] = 0.1 * (sample + 1) * (t - i);
+        sequence.push_back(g.input(std::move(xv)));
+    }
+    Var y = head.forward(ctx, stack.runSequence(ctx, sequence));
+    Var loss = g.lossMse(y, 0.3);
+    g.backward(loss);
+    return g.scalarValue(loss);
+}
+
+bool
+sameGradBits(const Grads &a, const Grads &b)
+{
+    for (size_t i = 0; i < a.count(); ++i)
+        if (std::memcmp(a[int(i)].data.data(), b[int(i)].data.data(),
+                        a[int(i)].size() * sizeof(double)) != 0)
+            return false;
+    return true;
+}
+
+TEST(Graph, SharedPanelCacheMatchesOwnPanels)
+{
+    // 4H = 28 rows: a 16-row panel group plus single 4-row blocks;
+    // the 1-row head is a panel of tail rows only.
+    Rng rng(12);
+    ParamSet params;
+    LstmStack stack(params, 5, 7, 2, rng);
+    Linear head(params, 7, 1, rng);
+
+    PanelCache cache;
+    Graph own, shared;
+    shared.setPanelCache(&cache);
+    for (int round = 0; round < 2; ++round) {
+        // Weights change between rounds; reset() drops the panels.
+        cache.reset();
+        for (int sample = 0; sample < 3; ++sample) {
+            Grads own_grads(params), shared_grads(params);
+            const double a =
+                panelSample(own, params, own_grads, stack, head, sample);
+            const double b = panelSample(shared, params, shared_grads,
+                                         stack, head, sample);
+            EXPECT_EQ(0, std::memcmp(&a, &b, sizeof(double)));
+            EXPECT_TRUE(sameGradBits(own_grads, shared_grads));
+        }
+        for (size_t i = 0; i < params.count(); ++i)
+            for (double &v : params[int(i)].data)
+                v *= 0.5;
+    }
+}
+
+TEST(Graph, PanelCacheSharedAcrossThreads)
+{
+    Rng rng(13);
+    ParamSet params;
+    LstmStack stack(params, 5, 8, 2, rng);
+    Linear head(params, 8, 1, rng);
+
+    Graph ref;
+    std::vector<std::unique_ptr<Grads>> expected;
+    for (int sample = 0; sample < 4; ++sample) {
+        expected.push_back(std::make_unique<Grads>(params));
+        panelSample(ref, params, *expected.back(), stack, head, sample);
+    }
+
+    PanelCache cache;
+    std::vector<std::unique_ptr<Grads>> got;
+    for (int sample = 0; sample < 4; ++sample)
+        got.push_back(std::make_unique<Grads>(params));
+    std::vector<std::thread> threads;
+    for (int sample = 0; sample < 4; ++sample)
+        threads.emplace_back([&, sample] {
+            Graph g;
+            g.setPanelCache(&cache);
+            panelSample(g, params, *got[size_t(sample)], stack, head,
+                        sample);
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int sample = 0; sample < 4; ++sample)
+        EXPECT_TRUE(sameGradBits(*expected[size_t(sample)],
+                                 *got[size_t(sample)]));
 }
 
 // -------------------------------------------------------------- training
