@@ -44,6 +44,13 @@ class UnitSchedule
 
     size_t numIntervals() const { return intervals_.size(); }
 
+    /** The busy intervals [start, end): sorted, disjoint, merged. */
+    const std::vector<std::pair<int64_t, int64_t>> &
+    intervals() const
+    {
+        return intervals_;
+    }
+
   private:
     /** Sorted, disjoint busy intervals (start, end). */
     std::vector<std::pair<int64_t, int64_t>> intervals_;
@@ -90,6 +97,9 @@ class PortSchedule
                          int64_t ready);
 
     void prune(int64_t horizon);
+
+    /** Read-only view of one port's timeline. */
+    const UnitSchedule &port(int index) const { return ports_[index]; }
 
   private:
     std::vector<UnitSchedule> ports_;

@@ -23,6 +23,14 @@
  * The load/store unit enforces store->store program ordering but does
  * not track addresses, so (like llvm-mca) XMca cannot model
  * store-to-load dependence chains — the ADD32mr case study.
+ *
+ * One call is a single in-order pass over the block unrolled
+ * iterations() times, after resolving the block against the table
+ * once. timing() stops that pass as soon as the pipeline state at an
+ * iteration boundary, taken relative to the dispatch cycle, repeats
+ * exactly, and extrapolates the remaining iterations; the result is
+ * bit-identical to simulating them all, which timingWithTrace()
+ * does. xmca.cc argues why the compared state is complete.
  */
 
 #ifndef DIFFTUNE_MCA_XMCA_HH
@@ -58,6 +66,11 @@ class XMca : public params::Simulator
     /** @param iterations block repetitions per run (paper: 100). */
     explicit XMca(int iterations = 100) : iterations_(iterations) {}
 
+    /**
+     * Cycles per iteration over iterations() repetitions of
+     * @p block, exactly as timingWithTrace() computes it, but
+     * extrapolated from the first verified steady state.
+     */
     double timing(const isa::BasicBlock &block,
                   const params::ParamTable &table) const override;
 
@@ -65,7 +78,8 @@ class XMca : public params::Simulator
     int iterations() const override { return iterations_; }
 
     /**
-     * Simulate and also record per-instruction event times.
+     * Simulate every iteration and also record per-instruction event
+     * times; the reference timing() is held to.
      * @param trace filled with one entry per stream instruction
      *        (block.size() * iterations() entries)
      * @return the timing (cycles / iterations)

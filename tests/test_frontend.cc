@@ -271,7 +271,9 @@ TEST(FrontendParser, QuirkSpellingsMatchLegacy)
         "ADD64ri $42garbage, %rbx\n",
         "ADD64ri $, %rbx\n",
         "ADD64ri $9223372036854775808, %rbx\n",
+        "ADD64ri $-9223372036854775808, %rbx\n",
         "ADD64ri $-9223372036854775809, %rbx\n",
+        "ADD64ri $-123456789012345678901234567890, %rbx\n",
         "MOV64rm (%rsi), %rdi\n",
         "MOV64rm - 8 ( % r si ), %rdi\n",
         "MOV64rm 8(%rsi), %rdi\r\n",
@@ -281,6 +283,18 @@ TEST(FrontendParser, QuirkSpellingsMatchLegacy)
     };
     for (const std::string &text : quirks)
         expectParsersAgree(text);
+
+    // Negative immediates saturate exactly at INT64_MIN, in range and
+    // past it.
+    const std::vector<std::string> saturating = {
+        "ADD64ri $-9223372036854775808, %rbx\n",
+        "ADD64ri $-123456789012345678901234567890, %rbx\n",
+    };
+    for (const std::string &text : saturating) {
+        EXPECT_EQ(legacy::parseBlock(text).insts.at(0).imm, INT64_MIN)
+            << text;
+        EXPECT_EQ(isa::parseBlock(text).insts.at(0).imm, INT64_MIN) << text;
+    }
 }
 
 TEST(FrontendParser, MalformedInputsRejectCleanly)

@@ -3,13 +3,22 @@
  * Tests for the XMca simulator: stage semantics (dispatch bandwidth,
  * reorder-buffer stalls, dependence latencies, ReadAdvance clipping,
  * port occupancy, store ordering) plus property tests (monotonicity,
- * determinism, trace invariants).
+ * determinism, trace invariants), and the steady-state extrapolation
+ * of timing() checked bit for bit against the full simulation of
+ * timingWithTrace().
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "base/random.hh"
+#include "bhive/corpus.hh"
+#include "hw/default_table.hh"
 #include "isa/parse.hh"
 #include "mca/xmca.hh"
+#include "params/sampling.hh"
 
 namespace difftune::mca
 {
@@ -290,6 +299,185 @@ TEST(XMca, Figure2Shape)
     EXPECT_NEAR(timings[1], 2.0, 0.1); // dw=2
     EXPECT_NEAR(timings[3], 1.0, 0.1); // dw=4
     EXPECT_NEAR(timings[9], 1.0, 0.1); // plateau
+}
+
+// ------------------------------------------- steady-state extrapolation
+
+/** Iteration counts around and past the usual repeat points. */
+const std::vector<int> gridIterations = {1, 2, 3, 16, 17, 100, 250};
+
+/**
+ * FNV-1a digest of the bits of XMca(100).timing() over gridTables() x
+ * gridBlocks(), tables outer. Computed with the simulator before
+ * steady-state extrapolation and per-call table resolution existed,
+ * so it pins both against the original per-iteration simulation.
+ * It also pins the block generator and the table samplers the grid
+ * is built from: a deliberate change there regenerates it (the
+ * failure message prints the new value).
+ */
+constexpr uint64_t gridDigest = 0x7937e94d3d046207ULL;
+
+/** The equivalence grid's blocks: a generated BHive-style corpus. */
+const std::vector<isa::BasicBlock> &
+gridBlocks()
+{
+    static const std::vector<isa::BasicBlock> blocks = [] {
+        const auto corpus = bhive::Corpus::generate(300, 0x5eed16);
+        std::vector<isa::BasicBlock> out;
+        for (const auto &info : corpus.blocks())
+            out.push_back(info.block);
+        return out;
+    }();
+    return blocks;
+}
+
+/**
+ * A hill-climb style neighbour of @p table: each entry is re-drawn
+ * with probability 5% within the black-box tuner's search ranges.
+ */
+ParamTable
+mutated(ParamTable table, Rng &rng)
+{
+    auto redraw = [&rng](double &value, int lo, int hi) {
+        if (rng.uniformReal() < 0.05)
+            value = double(rng.uniformInt(lo, hi));
+    };
+    for (auto &inst : table.perOpcode) {
+        redraw(inst.numMicroOps, 1, 5);
+        redraw(inst.writeLatency, 0, 5);
+        for (double &advance : inst.readAdvance)
+            redraw(advance, 0, 5);
+        for (double &cycles : inst.portMap)
+            redraw(cycles, 0, 5);
+    }
+    redraw(table.dispatchWidth, 1, 10);
+    redraw(table.reorderBufferSize, 50, 250);
+    return table;
+}
+
+/**
+ * The equivalence grid's tables: per uarch, its default, a mutated
+ * default and a table drawn from SamplingDist::full().
+ */
+const std::vector<ParamTable> &
+gridTables()
+{
+    static const std::vector<ParamTable> tables = [] {
+        std::vector<ParamTable> out;
+        Rng rng(16);
+        const auto dist = params::SamplingDist::full();
+        for (hw::Uarch uarch : hw::allUarches()) {
+            const ParamTable base = hw::defaultTable(uarch);
+            out.push_back(base);
+            out.push_back(mutated(base, rng));
+            out.push_back(dist.sample(rng, base));
+        }
+        return out;
+    }();
+    return tables;
+}
+
+uint64_t
+bits(double value)
+{
+    return std::bit_cast<uint64_t>(value);
+}
+
+/**
+ * Expect timing() to equal timingWithTrace() bit for bit for
+ * @p block under @p table at each of @p iteration_counts. Mismatches
+ * are printed until five have been, counting the @p reported ones
+ * earlier calls printed.
+ * @return the number of mismatches
+ */
+int
+expectSameBits(const isa::BasicBlock &block, const ParamTable &table,
+               const std::vector<int> &iteration_counts, int reported = 0)
+{
+    int mismatches = 0;
+    for (int iterations : iteration_counts) {
+        XMca sim(iterations);
+        Trace trace;
+        const double full = sim.timingWithTrace(block, table, trace);
+        const double fast = sim.timing(block, table);
+        if (bits(fast) == bits(full))
+            continue;
+        if (reported + mismatches++ < 5) {
+            EXPECT_EQ(bits(fast), bits(full))
+                << "at " << iterations << " iterations:\n"
+                << isa::toString(block);
+        }
+    }
+    return mismatches;
+}
+
+TEST(XMcaSteadyState, TimingMatchesFullSimulationOverGrid)
+{
+    int mismatches = 0;
+    for (const ParamTable &table : gridTables())
+        for (const isa::BasicBlock &block : gridBlocks())
+            mismatches +=
+                expectSameBits(block, table, gridIterations, mismatches);
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(XMcaSteadyState, TimingDigestPinned)
+{
+    XMca sim(100);
+    uint64_t digest = 0xcbf29ce484222325ULL;
+    for (const ParamTable &table : gridTables())
+        for (const isa::BasicBlock &block : gridBlocks())
+            digest = (digest ^ bits(sim.timing(block, table))) *
+                     0x100000001b3ULL;
+    EXPECT_EQ(digest, gridDigest) << "new digest 0x" << std::hex << digest;
+}
+
+TEST(XMcaSteadyState, StoreChain)
+{
+    // A long-latency chain feeds the first store; the second store
+    // waits for it, so the store frontier runs ahead of dispatch at
+    // every iteration boundary.
+    auto block = parseBlock(
+        "IMUL64rr %rbx, %rbx\n"
+        "MOV64mr %rbx, 0(%rsi)\n"
+        "MOV64mr %rcx, 8(%rsi)\n");
+    auto table = neutralTable();
+    table.perOpcode[op("IMUL64rr")].writeLatency = 10;
+    table.perOpcode[op("MOV64mr")].portMap[4] = 1;
+    const std::vector<int> counts = {1, 2, 3, 16, 17, 100, 250, 1000};
+    EXPECT_EQ(expectSameBits(block, table, counts), 0);
+    EXPECT_NEAR(XMca(1000).timing(block, table), 10.0, 0.1);
+}
+
+TEST(XMcaSteadyState, PeriodLongerThanOneIteration)
+{
+    // Two single-uop instructions through a 3-wide dispatch: the
+    // bandwidth left at each boundary cycles 1, 2, 0, so the state
+    // repeats every 3 iterations, 2 cycles apart.
+    auto block = parseBlock("NOP\nNOP\n");
+    auto table = neutralTable();
+    table.perOpcode[op("NOP")].writeLatency = 0;
+    table.dispatchWidth = 3;
+    const std::vector<int> counts = {1, 2, 3, 4, 5, 16, 17, 100, 101, 102};
+    EXPECT_EQ(expectSameBits(block, table, counts), 0);
+    // 200 uops at 3 per cycle: the last dispatches (and retires) in
+    // cycle 66.
+    EXPECT_EQ(XMca(100).timing(block, table), 0.66);
+}
+
+TEST(XMcaSteadyState, SlowRobFillDoesNotRepeatEarly)
+{
+    // A 2-cycle dependence chain dispatched 4-wide into a 250-entry
+    // ROB: the ROB gains ~7/8 of an entry per iteration and only
+    // fills after ~290 iterations, so the state changes at every
+    // boundary until then.
+    auto block = parseBlock("ADD32rr %ebx, %ecx\n");
+    auto table = neutralTable();
+    table.perOpcode[op("ADD32rr")].writeLatency = 2;
+    table.dispatchWidth = 4;
+    table.reorderBufferSize = 250;
+    EXPECT_EQ(expectSameBits(block, table, {1, 16, 100, 250, 1000}), 0);
+    EXPECT_NEAR(XMca(1000).timing(block, table), 2.0, 0.01);
 }
 
 } // namespace
