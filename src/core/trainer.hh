@@ -3,16 +3,21 @@
  * Data-parallel minibatch machinery shared by surrogate training,
  * parameter-table training and the Ithemal baseline.
  *
- * Each worker shard owns a reusable Graph and Grads buffer; a batch
- * maps sample indices over the shards, then gradients are reduced in
- * shard order and averaged — bit-reproducible regardless of thread
- * scheduling because shard boundaries are a pure function of the
- * batch size and worker count. Each shard zeroes its own buffer, and
- * the reduction splits the gradient elements over the workers; every
- * element still sums its shards in order 0, 1, ..., so neither split
- * changes a bit.
+ * A batch is cut into blocks of 8 consecutive samples. Each block
+ * accumulates its samples in index order into a zeroed partial
+ * Grads buffer; the partials are folded into the total in block
+ * order and averaged. The cut depends on the sample index alone and
+ * workers only decide who computes which block, so losses,
+ * gradients and trained weights are bit-identical for every worker
+ * count and thread schedule. Workers take blocks in index order;
+ * with more blocks than workers, a block reuses a partial once the
+ * block before it in that partial is folded, so a runner holds at
+ * most one partial per worker. The folds left at the end of a batch
+ * split the gradient elements over the workers; every element still
+ * sums its blocks in order 0, 1, ..., so neither split changes a
+ * bit.
  *
- * The shard graphs share one nn::PanelCache: the weights a body
+ * The worker graphs share one nn::PanelCache: the weights a body
  * reads are frozen from the start of runBatch() until apply(), so
  * each weight is packed into its matvec panel once per batch, not
  * once per graph or sample.
@@ -29,7 +34,7 @@
 namespace difftune::core
 {
 
-/** Reusable per-shard training state for one trainable ParamSet. */
+/** Reusable per-worker training state for one trainable ParamSet. */
 class BatchRunner
 {
   public:
@@ -52,6 +57,12 @@ class BatchRunner
      * Run @p body for sample indices [begin, end) in parallel,
      * average the gradients into an internal buffer, and return the
      * mean loss. Call apply() afterwards to take an optimizer step.
+     *
+     * The samples are summed in blocks of 8 ([begin, begin + 8),
+     * [begin + 8, begin + 16), ...), each block in index order, and
+     * the blocks in block order; the per-block losses likewise. The
+     * result is bit-identical for every worker count, and a batch
+     * of at most 8 samples sums exactly as one worker would.
      */
     double runBatch(size_t begin, size_t end, const SampleFn &body);
 
@@ -62,10 +73,23 @@ class BatchRunner
     const nn::Grads &batchGrads() const { return total_; }
 
   private:
+    /** The buffer block @p block accumulates into. */
+    nn::Grads &blockGrads(size_t block);
+
+    /**
+     * Fold elements [lo, hi) of the gradients of blocks [first, last)
+     * into total_ in block order, then multiply them by @p scale.
+     */
+    void foldBlocks(size_t first, size_t last, size_t lo, size_t hi,
+                    double scale);
+
     int workers_;
     std::vector<std::unique_ptr<nn::Graph>> graphs_;
-    /** Gradients of shards 1.. (shard 0 accumulates into total_). */
-    std::vector<std::unique_ptr<nn::Grads>> shardGrads_;
+    /**
+     * Block partials: workers - 1 of them (block 0 accumulates into
+     * total_), one more once a batch has more blocks than workers.
+     */
+    std::vector<std::unique_ptr<nn::Grads>> partials_;
     nn::Grads total_;
     /** Start of each gradient tensor in the flat element order. */
     std::vector<size_t> offsets_;

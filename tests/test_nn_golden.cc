@@ -15,7 +15,11 @@
  *    reproduce the in-memory predictions exactly;
  *  - the fused-op trainer must produce bit-identical losses and
  *    gradients for 1, 2 and 4 workers (the training-side analogue of
- *    the serve worker-invariance test).
+ *    the serve worker-invariance test);
+ *  - batches of more gradient blocks than workers must give
+ *    bit-identical losses, gradients and weights for 1, 3 and 4
+ *    workers, and a smoke-scale DiffTune::run on such batches must
+ *    learn the same bits.
  *
  * Golden doubles are stored as raw IEEE-754 bit patterns; equality is
  * exact (0 ulp), which is achievable because the fused kernels
@@ -34,10 +38,13 @@
 #include <string>
 #include <vector>
 
+#include "core/difftune.hh"
 #include "core/raw_table.hh"
 #include "core/trainer.hh"
+#include "hw/default_table.hh"
 #include "io/checkpoint.hh"
 #include "isa/parse.hh"
+#include "mca/xmca.hh"
 #include "nn/batched.hh"
 #include "nn/optim.hh"
 #include "params/sampling.hh"
@@ -480,6 +487,133 @@ TEST(NnGolden, TrainingIsWorkerCountInvariant)
             EXPECT_EQ(bits(g1[i]), bits(g4[i]))
                 << "param " << p << " index " << i;
         }
+    }
+}
+
+/** Generated blocks for the multi-block worker-invariance tests. */
+const bhive::Corpus &
+invarianceCorpus()
+{
+    static const bhive::Corpus corpus = bhive::Corpus::generate(120, 19);
+    return corpus;
+}
+
+/** Every element of @p tensors, in order. */
+template <typename TensorSet>
+std::vector<double>
+flatValues(const TensorSet &tensors)
+{
+    std::vector<double> out;
+    for (size_t t = 0; t < tensors.count(); ++t)
+        for (double v : tensors[int(t)].data)
+            out.push_back(v);
+    return out;
+}
+
+TEST(NnGolden, MultiBlockTrainingIsWorkerCountInvariant)
+{
+    // Batches of 100, 44 and 20 samples: 13, 6 and 3 gradient blocks,
+    // each ending on a short block. At 3 and 4 workers the later
+    // blocks of a batch reuse partials that folds free during it.
+    const bhive::Corpus &corpus = invarianceCorpus();
+    std::vector<surrogate::EncodedBlock> encoded;
+    for (size_t i = 0; i < corpus.size(); ++i)
+        encoded.push_back(surrogate::encodeBlock(corpus[i].block));
+
+    struct Trajectory
+    {
+        std::vector<double> losses;
+        std::vector<double> grads; ///< every step's batch gradient
+        std::vector<double> weights;
+    };
+    auto train = [&](int workers) {
+        surrogate::Model model(goldenConfig(0), isa::theVocab().size());
+        nn::Adam adam(0.01);
+        core::BatchRunner runner(model.params(), workers);
+        Trajectory out;
+        size_t begin = 0;
+        auto body = [&](size_t i, nn::Graph &g, nn::Grads &grads) {
+            const auto &block = encoded[i % encoded.size()];
+            nn::Ctx ctx{g, model.params(), &grads};
+            nn::Var pred = g.exp(model.forward(ctx, block, {}));
+            nn::Var l = g.lossMape(pred, 0.5 + 0.25 * double(i % 9), 0.05);
+            g.backward(l);
+            return g.scalarValue(l);
+        };
+        for (size_t size : {100, 44, 20}) {
+            out.losses.push_back(runner.runBatch(begin, begin + size, body));
+            const auto grads = flatValues(runner.batchGrads());
+            out.grads.insert(out.grads.end(), grads.begin(), grads.end());
+            runner.apply(model.params(), adam, 5.0);
+            begin += size;
+        }
+        out.weights = flatValues(model.params());
+        return out;
+    };
+
+    const Trajectory one = train(1);
+    for (int workers : {3, 4}) {
+        const Trajectory many = train(workers);
+        ASSERT_EQ(one.losses.size(), many.losses.size());
+        for (size_t s = 0; s < one.losses.size(); ++s)
+            EXPECT_EQ(bits(one.losses[s]), bits(many.losses[s]))
+                << workers << " workers, step " << s;
+        ASSERT_EQ(one.grads.size(), many.grads.size());
+        for (size_t i = 0; i < one.grads.size(); ++i)
+            ASSERT_EQ(bits(one.grads[i]), bits(many.grads[i]))
+                << workers << " workers, gradient element " << i;
+        ASSERT_EQ(one.weights.size(), many.weights.size());
+        for (size_t i = 0; i < one.weights.size(); ++i)
+            ASSERT_EQ(bits(one.weights[i]), bits(many.weights[i]))
+                << workers << " workers, weight " << i;
+    }
+}
+
+TEST(NnGolden, DiffTuneRunIsWorkerCountInvariant)
+{
+    // The golden batches are one 8-sample gradient block. Here a
+    // batch of 44 is six blocks, the last one 4 samples, so at 3 and
+    // at 4 workers later blocks reuse partials that folds free during
+    // the batch. The 96-block train split and the 120 simulated
+    // samples end each epoch on a short batch, and the learned table
+    // is a late snapshot, so it depends on training.
+    const bhive::Dataset dataset(invarianceCorpus(), hw::Uarch::Haswell);
+    ASSERT_EQ(dataset.train().size(), 96u);
+
+    const params::ParamTable base = hw::defaultTable(hw::Uarch::Haswell);
+    auto run = [&](int workers) {
+        core::DiffTuneConfig cfg;
+        cfg.model.hidden = 12;
+        cfg.model.embedDim = 8;
+        cfg.model.tokenLayers = 1;
+        cfg.model.blockLayers = 1;
+        cfg.simulatedMultiple = 1.25;
+        cfg.surrogateLoops = 3;
+        cfg.tableEpochs = 8;
+        cfg.refineRounds = 1;
+        cfg.refineMultiple = 0.5;
+        cfg.snapshotEvery = 1;
+        cfg.batchSize = 44;
+        cfg.workers = workers;
+        cfg.seed = 7;
+        mca::XMca sim;
+        core::DiffTune difftune(sim, dataset, base, cfg);
+        return difftune.run();
+    };
+
+    const core::DiffTuneResult ref = run(1);
+    const std::vector<double> learned = ref.learned.flatten();
+    for (int workers : {3, 4}) {
+        const core::DiffTuneResult got = run(workers);
+        EXPECT_EQ(bits(ref.surrogateFinalLoss), bits(got.surrogateFinalLoss))
+            << workers << " workers";
+        EXPECT_EQ(bits(ref.surrogateFidelity), bits(got.surrogateFidelity))
+            << workers << " workers";
+        const std::vector<double> other = got.learned.flatten();
+        ASSERT_EQ(learned.size(), other.size());
+        for (size_t i = 0; i < learned.size(); ++i)
+            EXPECT_EQ(bits(learned[i]), bits(other[i]))
+                << workers << " workers, table entry " << i;
     }
 }
 
