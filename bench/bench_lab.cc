@@ -1,7 +1,7 @@
 /**
  * @file
  * Traffic-lab benchmark: deterministic trace generation, the cache-
- * policy sweep, and dispatcher-pool replay throughput.
+ * policy sweep, and engine replay throughput.
  *
  * Three sections (docs/TRAFFIC_LAB.md):
  *
@@ -17,14 +17,11 @@
  *     deterministic, so the floor is enforced in every mode, not
  *     just --smoke.
  *
- *  3. Dispatcher-pool replay — the same trace served end-to-end
- *     through serve::AsyncEngine with a pool of 1 vs N dispatchers.
- *     Predictions must be bit-identical across pool sizes (always
- *     enforced); under --smoke on >= 2 cores the pool must reach at
- *     least 1.0x the single-dispatcher throughput (best pair of
- *     interleaved passes, so a scheduler burst cannot fail the
- *     floor by itself). On a 1-core runner the throughput floor is
- *     skipped — pool workers would just time-slice.
+ *  3. Engine replay — the same trace served end-to-end through
+ *     serve::AsyncEngine with 1 and with N dispatchers
+ *     (AsyncConfig::workers). Predictions must be bit-identical
+ *     across dispatcher counts (always enforced); throughput is
+ *     reported, not floored.
  */
 
 #include <algorithm>
@@ -52,17 +49,6 @@ namespace
 
 using namespace difftune;
 
-/**
- * Pool throughput floor (--smoke, >= 2 cores): a pool of N
- * dispatchers must not serve the replay slower than a single
- * dispatcher. Modest by design — the pool's job is to scale
- * concurrent miss traffic without taxing anything else.
- */
-constexpr double poolThroughputFloor = 1.0;
-
-/** Interleaved single/pool timing pairs for the pool floor. */
-constexpr int poolPasses = 3;
-
 double
 secondsSince(const std::chrono::steady_clock::time_point &begin)
 {
@@ -76,12 +62,12 @@ secondsSince(const std::chrono::steady_clock::time_point &begin)
 int
 main(int argc, char **argv)
 {
-    const bool smoke = difftune::bench::parseBenchArgs(argc, argv);
+    difftune::bench::parseBenchArgs(argc, argv);
     setVerbose(false);
     bool floors_ok = true;
     const int rc = bench::runBench(
         "bench_lab: trace generation, cache-policy sweep, and "
-        "dispatcher-pool replay",
+        "engine replay",
         "serving-traffic extension (train once, serve many; Renda "
         "et al. 2021)",
         [&] {
@@ -165,10 +151,10 @@ main(int argc, char **argv)
                 }
             }
 
-            // ---- 3. Dispatcher-pool replay. A small cache keeps
-            // miss traffic flowing (pool parallelism only matters on
-            // the forward path; front-cache hits resolve inline in
-            // the submitting thread either way).
+            // ---- 3. Engine replay. A small cache keeps miss
+            // traffic flowing (dispatcher parallelism only matters
+            // on the forward path; front-cache hits resolve inline
+            // in the submitting thread either way).
             const params::SamplingDist dist =
                 params::SamplingDist::full();
             const core::ParamNormalizer norm(dist);
@@ -189,11 +175,10 @@ main(int argc, char **argv)
 
             const std::vector<std::string> texts =
                 trace.requestTexts();
-            const auto replay = [&](int dispatchers,
-                                    std::vector<uint64_t> *bits,
-                                    double &seconds) {
+            const auto replay = [&](int workers,
+                                    std::vector<uint64_t> &bits) {
                 serve::AsyncConfig acfg;
-                acfg.dispatchers = dispatchers;
+                acfg.workers = workers;
                 acfg.cachePolicy = lab::policyFactory("slru");
                 acfg.cacheCapacity = 32;
                 serve::AsyncEngine engine(artifact, acfg);
@@ -202,89 +187,42 @@ main(int argc, char **argv)
                 const auto begin = std::chrono::steady_clock::now();
                 for (const std::string &text : texts)
                     futures.push_back(engine.submit(text));
-                if (bits) {
-                    bits->clear();
-                    bits->reserve(futures.size());
-                    for (auto &f : futures)
-                        bits->push_back(
-                            std::bit_cast<uint64_t>(f.get()));
-                } else {
-                    for (auto &f : futures)
-                        f.get();
-                }
-                seconds = secondsSince(begin);
+                bits.reserve(futures.size());
+                for (auto &f : futures)
+                    bits.push_back(std::bit_cast<uint64_t>(f.get()));
+                return secondsSince(begin);
             };
 
-            const unsigned cores =
-                std::thread::hardware_concurrency();
-            const int pool = int(std::min(4u, std::max(2u, cores)));
-
-            // Bit-stability across pool sizes: always enforced (the
-            // determinism contract — pool size may only change
-            // speed). The first pair also seeds the timing floor.
+            // Bit-stability across dispatcher counts: always
+            // enforced (the determinism contract — the count may
+            // only change speed).
+            const int pool = int(std::min(
+                4u, std::max(2u, std::thread::hardware_concurrency())));
             std::vector<uint64_t> single_bits, pool_bits;
-            double single_s = 0.0, pool_s = 0.0;
-            double best_single = 1e300, best_pool = 1e300;
-            double best_ratio = 0.0;
-            bool pool_first = false;
-            for (int pass = 0; pass < poolPasses; ++pass) {
-                if (pool_first) {
-                    replay(pool, pass == 0 ? &pool_bits : nullptr,
-                           pool_s);
-                    replay(1, pass == 0 ? &single_bits : nullptr,
-                           single_s);
-                } else {
-                    replay(1, pass == 0 ? &single_bits : nullptr,
-                           single_s);
-                    replay(pool, pass == 0 ? &pool_bits : nullptr,
-                           pool_s);
-                }
-                pool_first = !pool_first;
-                best_single = std::min(best_single, single_s);
-                best_pool = std::min(best_pool, pool_s);
-                best_ratio =
-                    std::max(best_ratio, single_s / pool_s);
-            }
+            const double single_s = replay(1, single_bits);
+            const double pool_s = replay(pool, pool_bits);
             const bool bits_match = single_bits == pool_bits;
 
             TextTable pt({"Replay", "Throughput", "Notes"});
-            pt.addRow(
-                {"single dispatcher",
-                 fmtDouble(double(texts.size()) / best_single, 0) +
-                     " req/s",
-                 "slru policy, capacity 32"});
-            pt.addRow(
-                {"pool of " + std::to_string(pool),
-                 fmtDouble(double(texts.size()) / best_pool, 0) +
-                     " req/s",
-                 "striped intake + idle-steal"});
-            pt.addRow({"pool / single",
-                       fmtDouble(best_ratio, 2) + "x",
-                       cores < 2 ? "floor skipped (1-core runner)"
-                       : smoke   ? "smoke floor: 1.0x"
-                                 : "floor: 1.0x (BENCHMARKS.md)"});
-            pt.addRow({"bits across pool sizes",
+            pt.addRow({"1 dispatcher",
+                       fmtDouble(double(texts.size()) / single_s, 0) +
+                           " req/s",
+                       "slru policy, capacity 32"});
+            pt.addRow({std::to_string(pool) + " dispatchers",
+                       fmtDouble(double(texts.size()) / pool_s, 0) +
+                           " req/s",
+                       "striped intake + idle-steal"});
+            pt.addRow({"bits across dispatcher counts",
                        bits_match ? "identical" : "DIVERGED",
                        "gate: identical"});
             std::cout << pt.render();
-            std::cout << "(best of " << poolPasses
-                      << " interleaved pairs, " << texts.size()
-                      << " requests)\n";
+            std::cout << "(" << texts.size() << " requests)\n";
 
             if (!bits_match) {
                 std::fprintf(stderr,
-                             "FAIL: pool of %d diverged from the "
-                             "single-dispatcher bits\n",
+                             "FAIL: %d dispatchers diverged from the "
+                             "1-dispatcher bits\n",
                              pool);
-                floors_ok = false;
-            }
-            if (smoke && cores >= 2 &&
-                best_ratio < poolThroughputFloor) {
-                std::fprintf(stderr,
-                             "FAIL: pool/single throughput ratio "
-                             "%.2fx is under the %.1fx smoke "
-                             "floor\n",
-                             best_ratio, poolThroughputFloor);
                 floors_ok = false;
             }
         });

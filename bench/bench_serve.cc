@@ -37,7 +37,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <bit>
 #include <filesystem>
 #include <thread>
@@ -67,7 +66,7 @@ constexpr double f32RelErrGate = 1e-5;
  * Multi-client floor: concurrent async submission must beat
  * single-caller submission by this much in aggregate. Only enforced
  * on >= 2 cores — on a 1-core runner the comparison is skipped (the
- * dispatcher and the clients would just time-slice).
+ * dispatchers and the clients would just time-slice).
  */
 constexpr double asyncSpeedupFloor = 1.5;
 
@@ -93,29 +92,6 @@ constexpr double obsOverheadGate = 1.05;
 int
 main(int argc, char **argv)
 {
-    // --dispatchers N sizes the AsyncEngine dispatcher pool for the
-    // pooled multi-client row (default 2). Stripped here because
-    // parseBenchArgs is strict and rejects flags it does not know.
-    int dispatchers = 2;
-    {
-        int kept = 1;
-        for (int i = 1; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--dispatchers") == 0 &&
-                i + 1 < argc) {
-                dispatchers = std::atoi(argv[++i]);
-                if (dispatchers < 1) {
-                    std::fprintf(stderr,
-                                 "--dispatchers needs a positive "
-                                 "pool size\n");
-                    return 2;
-                }
-            } else {
-                argv[kept++] = argv[i];
-            }
-        }
-        argv[kept] = nullptr;
-        argc = kept;
-    }
     const bool smoke = difftune::bench::parseBenchArgs(argc, argv);
     setVerbose(false);
     bool floors_ok = true;
@@ -663,9 +639,9 @@ main(int argc, char **argv)
                 std::thread::hardware_concurrency();
             const int threads = int(std::min(4u, cores));
             if (cores < 2) {
-                std::cout << "multi-threaded client and dispatcher-"
-                             "pool modes: skipped (1-core runner; "
-                             "floor needs >= 2 cores)\n";
+                std::cout << "multi-threaded client mode: skipped "
+                             "(1-core runner; floor needs >= 2 "
+                             "cores)\n";
                 return;
             }
             const auto clients = serve::compareAsyncClients(
@@ -709,48 +685,6 @@ main(int argc, char **argv)
                              clients.speedup(), asyncSpeedupFloor);
                 floors_ok = false;
             }
-
-            // ---- Dispatcher pool: the same multi-client traffic
-            // through a pool of N dispatchers (--dispatchers,
-            // default 2) versus the single-dispatcher engine of the
-            // row above. Reported, not floored — bench_lab owns the
-            // pool-vs-single >= 1.0x floor on its deterministic
-            // trace — but compareAsyncClients still bit-checks every
-            // pooled response against the naive pass, so a pool that
-            // costs a single bit fails the run.
-            serve::AsyncConfig pool_cfg;
-            pool_cfg.dispatchers = dispatchers;
-            const auto pooled = serve::compareAsyncClients(
-                artifact, workload, threads, &naive, pool_cfg);
-            TextTable table4(
-                {"Dispatcher pool", "Throughput", "Notes"});
-            table4.addRow(
-                {"pool of 1 (row above)",
-                 fmtDouble(double(requests) / clients.asyncSeconds,
-                           0) +
-                     " blk/s",
-                 std::to_string(threads) + " client threads"});
-            table4.addRow(
-                {"pool of " + std::to_string(dispatchers),
-                 fmtDouble(double(requests) / pooled.asyncSeconds,
-                           0) +
-                     " blk/s",
-                 "striped intake + idle-steal, bit-exact vs naive"});
-            table4.addRow(
-                {"pool / single",
-                 fmtDouble(clients.asyncSeconds /
-                               pooled.asyncSeconds,
-                           2) +
-                     "x",
-                 "reported only; floored in bench_lab --smoke"});
-            table4.addRow(
-                {"pooled latency p50/p95/p99",
-                 fmtDouble(pooled.latency.p50 * 1e6, 0) + " / " +
-                     fmtDouble(pooled.latency.p95 * 1e6, 0) +
-                     " / " +
-                     fmtDouble(pooled.latency.p99 * 1e6, 0) + " us",
-                 "submit-to-get"});
-            std::cout << table4.render();
         });
     return rc != 0 ? rc : (floors_ok ? 0 : 1);
 }

@@ -90,8 +90,11 @@ BatchRunner::runBatch(size_t begin, size_t end, const SampleFn &body)
     const size_t blocks = (n + kBlockSamples - 1) / kBlockSamples;
     const size_t workers = std::min(blocks, size_t(workers_));
     // With more blocks than workers, total_ soon holds the running
-    // sum and every worker needs a partial of its own.
-    if (blocks > workers && partials_.size() < workers)
+    // sum and every worker needs a partial of its own, plus two
+    // spares: with one per worker, a worker whose block is done
+    // waits for the oldest block still running before it can reuse
+    // that block's partial.
+    while (blocks > workers && partials_.size() < workers + 2)
         partials_.push_back(std::make_unique<nn::Grads>(total_));
     // The previous apply() may have moved the weights.
     panels_.reset();

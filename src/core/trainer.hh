@@ -12,10 +12,10 @@
  * count and thread schedule. Workers take blocks in index order;
  * with more blocks than workers, a block reuses a partial once the
  * block before it in that partial is folded, so a runner holds at
- * most one partial per worker. The folds left at the end of a batch
- * split the gradient elements over the workers; every element still
- * sums its blocks in order 0, 1, ..., so neither split changes a
- * bit.
+ * most two partials more than it has workers. The folds left at the
+ * end of a batch split the gradient elements over the workers; every
+ * element still sums its blocks in order 0, 1, ..., so neither split
+ * changes a bit.
  *
  * The worker graphs share one nn::PanelCache: the weights a body
  * reads are frozen from the start of runBatch() until apply(), so
@@ -87,7 +87,8 @@ class BatchRunner
     std::vector<std::unique_ptr<nn::Graph>> graphs_;
     /**
      * Block partials: workers - 1 of them (block 0 accumulates into
-     * total_), one more once a batch has more blocks than workers.
+     * total_), workers + 2 once a batch has more blocks than
+     * workers.
      */
     std::vector<std::unique_ptr<nn::Grads>> partials_;
     nn::Grads total_;

@@ -3,16 +3,16 @@
  * AsyncEngine implementation.
  *
  * Locking order (always take in this order, never hold both unless
- * noted): queueMutex_ guards only the request queue and the
- * stop/flush flags; batchMutex_ guards the shard executors and is
- * held across a whole serveBatch; the cache stripes are leaf locks
- * taken under either or neither. The dispatcher serves with no
- * queue lock held, so clients keep submitting while a batch runs.
+ * noted): queueMutex_ guards only the request queues and the stop
+ * flag; batchMutex_ guards the synchronous executor set and is held
+ * across a whole serveBatch; the cache stripes are leaf locks taken
+ * under either or neither. A dispatcher serves with no queue lock
+ * held, so clients keep submitting while a batch runs.
  */
 
 #include "serve/async_engine.hh"
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <string_view>
 #include <unordered_map>
@@ -60,7 +60,6 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
              "AsyncEngine needs a promoted ModelSnapshot "
              "(io::makeModelSnapshot)");
     fatal_if(config_.maxBatch == 0, "maxBatch must be >= 1");
-    fatal_if(config_.maxWaitMicros < 0, "maxWaitMicros must be >= 0");
 
     const int param_dim = artifact_.model->config().paramDim;
     if (param_dim > 0) {
@@ -107,7 +106,7 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
     // borrowing the one snapshot: the kF32 conversion and every
     // input projection happen once per engine (or once per
     // *artifact*, when engines share), no longer once per shard.
-    // The dispatcher thread starts lazily on the first submit.
+    // The dispatchers start lazily on the first submit.
     shards_.reserve(size_t(workers_));
     for (int shard = 0; shard < workers_; ++shard) {
         shards_.emplace_back();
@@ -170,8 +169,6 @@ AsyncEngine::registerMetrics()
             &registry_->histogram(p + "stage.forward_ns");
         stage_.queueWait =
             &registry_->histogram(p + "stage.queue_wait_ns");
-        stage_.coalesce =
-            &registry_->histogram(p + "stage.coalesce_ns");
         stage_.batchSize =
             &registry_->histogram(p + "batch_size");
         stage_.queueDepth = &registry_->gauge(p + "queue_depth");
@@ -224,7 +221,6 @@ AsyncEngine::shutdown()
     {
         std::lock_guard lock(queueMutex_);
         stopping_ = true;
-        ++flushes_;
     }
     queueCv_.notify_all();
     // Exactly one caller joins (joinable() goes false afterwards);
@@ -267,9 +263,9 @@ AsyncEngine::submit(std::string block_text)
         promise.set_value(*hit);
         return future;
     }
-    // Striped assignment: requests round-robin over the per-worker
-    // intake queues. The stripe draw sits outside the lock — it
-    // only has to distribute, not order.
+    // Striped assignment: requests round-robin over the
+    // per-dispatcher intake queues. The stripe draw sits outside the
+    // lock — it only has to distribute, not order.
     const uint64_t stripe =
         intakeStripe_.fetch_add(1, std::memory_order_relaxed);
     {
@@ -288,13 +284,10 @@ AsyncEngine::submit(std::string block_text)
         if (stage_.on())
             stage_.queueDepth->set(int64_t(totalQueued_));
     }
-    // One worker suffices for one request — unless it lands while
-    // the only awake worker is mid-coalesce on another queue, which
-    // a pool avoids by waking everyone (cheap at pool sizes).
-    if (pool_.size() == 1)
-        queueCv_.notify_one();
-    else
-        queueCv_.notify_all();
+    // One idle dispatcher suffices for one request: it serves its
+    // own queue or steals, and a busy one re-checks the queues
+    // before it sleeps.
+    queueCv_.notify_one();
     return future;
 }
 
@@ -330,19 +323,17 @@ AsyncEngine::submitAll(std::vector<std::string> block_texts)
             }
             ensureDispatchersLocked();
             // Group members stripe round-robin like singles, so a
-            // large group spreads over the pool and its micro-
-            // batches overlap (bit-stability is indifferent to the
-            // split; ordering within a future group is irrelevant
-            // because every member carries its own future).
+            // large group spreads over the dispatchers and its
+            // micro-batches overlap (bit-stability is indifferent to
+            // the split; ordering within a future group is
+            // irrelevant because every member carries its own
+            // future).
             for (size_t i = 0; i < fresh.size(); ++i)
                 pool_[size_t((stripe + i) % pool_.size())]
                     ->queue.push_back(std::move(fresh[i]));
             totalQueued_ += fresh.size();
             if (stage_.on())
                 stage_.queueDepth->set(int64_t(totalQueued_));
-            // The whole group is already here: let the dispatchers
-            // skip the coalescing wait.
-            ++flushes_;
         }
         queueCv_.notify_all();
     }
@@ -462,7 +453,7 @@ AsyncEngine::serveBatch(const std::vector<const std::string *> &texts,
 
 std::vector<AsyncEngine::Outcome>
 AsyncEngine::serveBatchOn(
-    std::vector<Shard> &shards,
+    std::span<Shard> shards,
     const std::vector<const std::string *> &texts, bool sample_laps)
 {
     ++stats_.batches;
@@ -551,20 +542,23 @@ AsyncEngine::serveBatchOn(
 
     stats_.forwards += misses.size();
 
-    // One batched executor per shard: the shard's misses run as one
-    // lane batch (shared weight reads, lockstep steps, instruction
-    // dedup). The shard partition is a pure function of (count,
-    // workers), and each lane's arithmetic is independent, so
-    // results do not depend on the worker count or the batch
-    // composition.
-    {
-        obs::StageTimer forward_span(
-            misses.empty() ? nullptr : stage_.forward);
-        parallelShards(misses.size(), int(shards.size()),
-                       [&](size_t lo, size_t hi, int shard) {
-                           forwardMissBatch(shards[size_t(shard)],
-                                            misses, lo, hi);
-                       });
+    // Each executor runs its misses as one lane batch (shared
+    // weight reads, lockstep steps, instruction dedup). Each lane's
+    // arithmetic is independent, so results do not depend on the
+    // worker count or the batch composition. A dispatcher's one
+    // executor runs inline on its own thread: queued traffic never
+    // waits on the fork-join pool, whose run mutex serializes
+    // callers. Only the synchronous set fans out over shards.
+    if (!misses.empty()) {
+        obs::StageTimer forward_span(stage_.forward);
+        if (shards.size() == 1)
+            forwardMissBatch(shards[0], misses, 0, misses.size());
+        else
+            parallelShards(misses.size(), int(shards.size()),
+                           [&](size_t lo, size_t hi, int shard) {
+                               forwardMissBatch(shards[size_t(shard)],
+                                                misses, lo, hi);
+                           });
     }
 
     // Publish in deterministic (batch) order.
@@ -602,8 +596,8 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
     inst_ids.reserve(count);
     for (size_t m = lo; m < hi; ++m) {
         const Miss &miss = misses[m];
-        // Per-miss encoded-lane acquisition span; shard threads
-        // record concurrently (record() is wait-free).
+        // Per-miss encoded-lane acquisition span; executors record
+        // concurrently (record() is wait-free).
         obs::StageTimer encode_span(stage_.encode);
         if (miss.id != isa::invalidBlockId) {
             // Pre-encoded cache: the token lanes of an interned
@@ -694,26 +688,19 @@ AsyncEngine::ensureDispatchersLocked()
     if (dispatchersStarted_)
         return;
     dispatchersStarted_ = true;
-    // Build every worker — including its private executor set —
-    // before any thread starts, so pool_ is immutable from here on
-    // and workers index siblings' queues without further
+    // Build every dispatcher — including its executor — before any
+    // thread starts, so pool_ is immutable from here on and
+    // dispatchers index siblings' queues without further
     // coordination. The new threads block on queueMutex_ until the
     // caller releases it, then find the request that triggered the
     // start.
-    const size_t pool = poolSize();
-    pool_.reserve(pool);
-    for (size_t w = 0; w < pool; ++w) {
+    pool_.reserve(size_t(workers_));
+    for (int w = 0; w < workers_; ++w) {
         pool_.push_back(std::make_unique<DispatchWorker>());
-        DispatchWorker &worker = *pool_.back();
-        worker.shards.reserve(size_t(workers_));
-        for (int shard = 0; shard < workers_; ++shard) {
-            worker.shards.emplace_back();
-            worker.shards.back().batched =
-                std::make_unique<nn::BatchedForward>(snapshot_,
-                                                     precision_);
-        }
+        pool_.back()->shard.batched =
+            std::make_unique<nn::BatchedForward>(snapshot_, precision_);
     }
-    for (size_t w = 0; w < pool; ++w)
+    for (size_t w = 0; w < pool_.size(); ++w)
         pool_[w]->thread =
             std::thread(&AsyncEngine::dispatchLoop, this, w);
 }
@@ -734,7 +721,6 @@ AsyncEngine::dispatchLoop(size_t self)
     };
     DispatchWorker &me = *pool_[self];
     std::vector<Pending> batch;
-    uint64_t served_flushes = 0;
     while (true) {
         {
             std::unique_lock lock(queueMutex_);
@@ -743,31 +729,13 @@ AsyncEngine::dispatchLoop(size_t self)
             });
             if (totalQueued_ == 0)
                 return; // stopping and fully drained
-            // Coalescing window: an undersized batch of this
-            // worker's own traffic waits briefly for company —
-            // unless a flush (submitAll group, shutdown) already
-            // promised none is coming. A worker woken only to
-            // steal (own queue empty) skips the wait: a backlog on
-            // a busy sibling is dense traffic, and its owner
-            // already paid any coalescing delay.
-            if (!stopping_ && !me.queue.empty() &&
-                me.queue.size() < config_.maxBatch &&
-                served_flushes == flushes_ &&
-                config_.maxWaitMicros > 0) {
-                obs::StageTimer coalesce_span(stage_.coalesce);
-                queueCv_.wait_for(
-                    lock,
-                    std::chrono::microseconds(config_.maxWaitMicros),
-                    [this, &me, served_flushes] {
-                        return stopping_ ||
-                               me.queue.size() >= config_.maxBatch ||
-                               served_flushes != flushes_;
-                    });
-            }
-            // Intake: drain the own queue first (striped FIFO
-            // affinity), then — only when idle — steal from loaded
-            // siblings, oldest requests first, scanning round-robin
-            // from the next worker up.
+            // Intake, with no wait for company: an idle dispatcher
+            // serves what is queued now, and a batch is the backlog
+            // that built while every dispatcher was busy. Drain the
+            // own queue first (striped FIFO affinity), then — only
+            // when it is empty — steal from siblings, oldest
+            // requests first, scanning round-robin from the next
+            // dispatcher up.
             batch.clear();
             std::deque<Pending> &own = me.queue;
             const size_t own_take =
@@ -793,11 +761,10 @@ AsyncEngine::dispatchLoop(size_t self)
             }
             totalQueued_ -= batch.size();
             if (stage_.on()) {
-                // Pool-correct accounting: the gauge mirrors the
-                // backlog summed over every per-worker queue, and
-                // each request's queue wait runs from its enqueue
-                // on the owning queue to this pop — stolen requests
-                // keep their original stamp.
+                // The gauge mirrors the backlog summed over every
+                // per-dispatcher queue, and each request's queue
+                // wait runs from its enqueue on the owning queue to
+                // this pop — stolen requests keep their stamp.
                 stage_.queueDepth->set(int64_t(totalQueued_));
                 stage_.batchSize->record(batch.size());
                 const uint64_t now = obs::nowNs();
@@ -805,28 +772,20 @@ AsyncEngine::dispatchLoop(size_t self)
                     stage_.queueWait->record(
                         obs::elapsedNs(pending.enqueuedNs, now));
             }
-            // Only a fully-drained intake re-arms the coalescing
-            // wait: a remainder (the tail of an oversized group, or
-            // a backlog of singles deeper than maxBatch) is dense
-            // traffic that must be served immediately, not held for
-            // company that is already here.
-            served_flushes =
-                totalQueued_ == 0 ? flushes_ : flushes_ - 1;
         }
-        if (batch.empty())
-            continue; // a sibling drained the backlog first
 
-        // Serve with no queue lock held — on this worker's private
-        // executor set, no batchMutex_ — so clients keep submitting
-        // and batches on other pool workers run concurrently while
-        // this one executes.
+        // Serve with no queue lock held, inline on this dispatcher's
+        // own executor — no batchMutex_, no fork-join pool — so
+        // clients keep submitting and batches on other dispatchers
+        // run concurrently while this one executes.
         std::vector<const std::string *> texts;
         texts.reserve(batch.size());
         for (const Pending &pending : batch)
             texts.push_back(&pending.text);
         std::vector<Outcome> outcomes;
         try {
-            outcomes = serveBatchOn(me.shards, texts, sampleTick());
+            outcomes = serveBatchOn(std::span(&me.shard, 1), texts,
+                                    sampleTick());
         } catch (...) {
             // serveBatchOn captures per-request errors; anything
             // that still escapes (allocation failure) fails the

@@ -17,20 +17,21 @@
  *
  *  - **Thread safety.** Any number of client threads may call any
  *    combination of submit / submitAll / predict / predictAll
- *    concurrently. Caches are sharded-mutex LRUs, stats are atomic,
- *    and the shard executors are serialized behind one batch mutex
- *    (they parallelize internally over shards, as in v1).
+ *    concurrently. Caches are sharded-mutex LRUs and stats are
+ *    atomic. The synchronous calls share one executor set behind a
+ *    batch mutex and parallelize over its shards, as in v1.
  *
  *  - **Async micro-batched submission.** submit(text) returns a
- *    std::future immediately; a dispatcher pool (AsyncConfig::
- *    dispatchers workers, each with its own intake queue — striped
- *    round-robin assignment, idle-steal — and its own executor set)
- *    coalesces queued requests from many clients into micro-batches
- *    of up to maxBatch lanes (waiting at most maxWaitMicros for
- *    company), so concurrent single-block clients get batched
- *    execution — the amortization a DL-based simulator needs to
- *    win — without any client-side batching, and batches on
- *    different pool workers overlap on multi-core boxes.
+ *    std::future immediately. AsyncConfig::workers dispatchers
+ *    serve the queued requests; each has its own intake queue
+ *    (striped round-robin assignment, idle-steal) and exactly one
+ *    executor, and runs the micro-batch it pops (up to maxBatch
+ *    requests) inline on its own thread. An idle dispatcher serves
+ *    a request as soon as it lands; batches form from the backlog
+ *    that builds while every dispatcher is busy. Concurrent
+ *    single-block clients thus get batched execution under load
+ *    without client-side batching or a coalescing delay, and
+ *    batches on different dispatchers overlap on multi-core boxes.
  *
  * The front end behind predict is a three-level cache key hierarchy
  * (docs/FRONTEND.md): raw text -> interned canonical BlockId ->
@@ -64,13 +65,13 @@
 #ifndef DIFFTUNE_SERVE_ASYNC_ENGINE_HH
 #define DIFFTUNE_SERVE_ASYNC_ENGINE_HH
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <future>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -87,19 +88,17 @@ namespace difftune::serve
 /** AsyncEngine tuning knobs. */
 struct AsyncConfig
 {
-    int workers = 0;             ///< shard count (<= 0: library default)
+    /**
+     * Executor count (<= 0: library default): the number of
+     * dispatchers serving queued requests, one executor each, and
+     * the shard count of the synchronous calls' executor set.
+     */
+    int workers = 0;
     size_t cacheCapacity = 8192; ///< LRU entries (each cache)
     /** Serving arithmetic (see nn/batched.hh; kF32 is opt-in). */
     nn::Precision precision = nn::Precision::kF64;
-    /** Micro-batcher: max requests coalesced into one batch. */
+    /** Micro-batcher: max queued requests in one dispatcher batch. */
     size_t maxBatch = 64;
-    /**
-     * Micro-batcher: longest a queued request waits for company
-     * before being dispatched undersized. Only queued (submit /
-     * submitAll) requests pay this; the synchronous calls run
-     * inline.
-     */
-    int maxWaitMicros = 100;
     /** Lock stripes per LRU cache (<= 0: library default). */
     int cacheStripes = 0;
     /**
@@ -137,18 +136,6 @@ struct AsyncConfig
      * construction (the DIFFTUNE_OBS_OFF kill switch).
      */
     obs::MetricRegistry *registry = nullptr;
-    /**
-     * Dispatcher-pool size for the async micro-batcher (<= 1: one
-     * dispatcher, the original behavior). Each pool worker owns an
-     * intake queue (striped round-robin assignment at submit, with
-     * idle workers stealing from loaded siblings) and a private set
-     * of shard executors, so micro-batches on different workers
-     * genuinely overlap on a multi-core box. By the determinism
-     * contract the pool size can never change a result — kF64
-     * replies stay bit-identical to the single-dispatcher engine
-     * for any size and arrival order (see docs/TRAFFIC_LAB.md).
-     */
-    int dispatchers = 1;
     /**
      * Replacement/admission policy for the serving caches, built
      * per stripe (null: classic LRU — decision-identical to the
@@ -266,9 +253,9 @@ class AsyncEngine
 
     /**
      * Queue a group; futures align with @p block_texts. The whole
-     * group is enqueued atomically and flushes the micro-batcher
-     * (no coalescing delay), so a group behaves like v1 predictAll
-     * submitted from another thread.
+     * group is enqueued atomically, striped over the dispatchers,
+     * so a group behaves like v1 predictAll submitted from another
+     * thread.
      */
     std::vector<std::future<double>>
     submitAll(std::vector<std::string> block_texts);
@@ -295,7 +282,7 @@ class AsyncEngine
     // ---- Lifecycle
 
     /**
-     * Stop intake, drain every queued request, join the dispatcher.
+     * Stop intake, drain every queued request, join the dispatchers.
      * Idempotent and safe to call from any thread (concurrent
      * callers serialize; each returns only once the drain is
      * complete); the destructor calls it too. Futures already
@@ -401,22 +388,22 @@ class AsyncEngine
                bool sample_laps);
 
     /**
-     * The batch core: dedup, parse, canonical-cache probe, shard
-     * fan-out over the misses on @p shards, cache publish. The
-     * caller must own @p shards exclusively — the sync path holds
-     * batchMutex_ over shards_; each dispatcher-pool worker passes
-     * its private set lock-free, which is how batches on different
-     * workers overlap.
+     * The batch core: dedup, parse, canonical-cache probe, forward
+     * of the misses on @p shards, cache publish. The caller must own
+     * @p shards exclusively. The sync path holds batchMutex_ over
+     * shards_ and fans the misses out with parallelShards; a
+     * dispatcher passes its one executor, which runs them inline on
+     * its own thread, so batches on different dispatchers overlap
+     * and none waits on the fork-join pool.
      */
     std::vector<Outcome>
-    serveBatchOn(std::vector<Shard> &shards,
+    serveBatchOn(std::span<Shard> shards,
                  const std::vector<const std::string *> &texts,
                  bool sample_laps);
 
     /**
      * Run misses [lo, hi) through @p sh's executor as one lane
-     * batch and fill their predictions. The caller owns @p sh
-     * (shards of one set parallelize via parallelShards).
+     * batch and fill their predictions. The caller owns @p sh.
      */
     void forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
                           size_t lo, size_t hi);
@@ -426,11 +413,10 @@ class AsyncEngine
                           const surrogate::EncodedBlock &encoded,
                           const isa::BasicBlock &block) const;
 
-    /** Pool worker @p self: pop/steal, coalesce, serve, fulfill. */
+    /** Dispatcher @p self: pop/steal, serve, fulfill. */
     void dispatchLoop(size_t self);
 
-    /** Start the dispatcher pool if needed; caller holds
-     *  queueMutex_. */
+    /** Start the dispatchers if needed; caller holds queueMutex_. */
     void ensureDispatchersLocked();
 
     io::ModelSnapshot artifact_;
@@ -489,7 +475,6 @@ class AsyncEngine
         obs::LatencyHistogram *encode = nullptr;    ///< lane lookup
         obs::LatencyHistogram *forward = nullptr;   ///< LSTM batch
         obs::LatencyHistogram *queueWait = nullptr; ///< submit->pop
-        obs::LatencyHistogram *coalesce = nullptr;  ///< batcher wait
         obs::LatencyHistogram *batchSize = nullptr; ///< reqs/batch
         obs::Gauge *queueDepth = nullptr;
 
@@ -522,48 +507,40 @@ class AsyncEngine
     std::string metricPrefix_;
 
     /**
-     * One dispatcher-pool worker: an intake queue (guarded by
-     * queueMutex_ like all queue state) plus a private executor set
-     * its thread serves batches on without touching batchMutex_.
-     * unique_ptr entries so worker addresses are stable.
+     * One dispatcher: an intake queue (guarded by queueMutex_ like
+     * all queue state) plus the one executor its thread serves
+     * batches on, without touching batchMutex_. unique_ptr entries
+     * so dispatcher addresses are stable.
      */
     struct DispatchWorker
     {
         std::deque<Pending> queue;
-        std::vector<Shard> shards;
+        Shard shard;
         std::thread thread;
     };
 
-    /** Pool size the config resolves to (>= 1). */
-    size_t
-    poolSize() const
-    {
-        return size_t(std::max(config_.dispatchers, 1));
-    }
-
     /**
-     * One mutex guards every per-worker queue plus the stop/flush
-     * flags: queue operations are tiny next to batch execution, so
-     * striping the *lock* would buy nothing — what the per-worker
-     * queues buy is striped FIFO assignment, per-worker coalescing
-     * and idle-steal, and above all one private executor set per
-     * worker so batch *execution* overlaps.
+     * One mutex guards every per-dispatcher queue plus the stop
+     * flag: queue operations are tiny next to batch execution, so
+     * striping the *lock* would buy nothing — what the per-dispatcher
+     * queues buy is striped FIFO assignment and idle-steal, and
+     * above all one private executor per dispatcher so batch
+     * *execution* overlaps.
      */
     std::mutex queueMutex_;
     std::condition_variable queueCv_;
     std::vector<std::unique_ptr<DispatchWorker>> pool_;
     /** Round-robin intake stripe counter (submit picks a queue). */
     std::atomic<uint64_t> intakeStripe_{0};
-    /** Sum of all per-worker queue sizes (guarded by queueMutex_);
-     *  what the queue_depth gauge mirrors — with a pool, one
-     *  worker's queue alone would under-report the backlog. */
+    /** Sum of all per-dispatcher queue sizes (guarded by
+     *  queueMutex_); what the queue_depth gauge mirrors — one
+     *  dispatcher's queue alone would under-report the backlog. */
     size_t totalQueued_ = 0;
-    uint64_t flushes_ = 0; ///< submitAll/shutdown flush generation
     bool stopping_ = false;
     /** Fast intake-closed check (set before stopping_ is taken). */
     std::atomic<bool> stopped_{false};
     /**
-     * The pool starts lazily on the first queued request (guarded
+     * Dispatchers start lazily on the first queued request (guarded
      * by queueMutex_), so engines used only through the synchronous
      * API never own idle threads.
      */

@@ -6,7 +6,7 @@
  * counter reconciliation, LRU-behind-interface equivalence with the
  * legacy serve::LruCache, TinyLFU scan resistance), the CacheSim
  * sweep harness, and — the acceptance assertion of the lab PR —
- * bit-exact engine replay for every (policy, dispatcher-pool size)
+ * bit-exact engine replay for every (policy, dispatcher count)
  * combination, plus pool behavior under concurrent submission and
  * registry hot-swap (the TSan target).
  */
@@ -410,8 +410,9 @@ TEST(LabReplay, BitStableForEveryPolicyAndPoolSize)
 {
     // The lab acceptance assertion: replaying one trace through
     // AsyncEngine must produce bit-identical kF64 predictions for
-    // every cache policy x dispatcher-pool size combination — the
-    // policy and the pool may only ever change speed, never results.
+    // every cache policy x dispatcher count (AsyncConfig::workers)
+    // combination — the policy and the pool may only ever change
+    // speed, never results.
     // A deliberately tiny cache forces eviction/admission churn.
     const TraceWorkload trace = TraceWorkload::generate(smallTrace(1));
     const std::vector<std::string> texts = trace.requestTexts();
@@ -425,7 +426,7 @@ TEST(LabReplay, BitStableForEveryPolicyAndPoolSize)
     for (const std::string &policy : policyNames()) {
         for (int pool : {1, 2, 4}) {
             serve::AsyncConfig cfg;
-            cfg.dispatchers = pool;
+            cfg.workers = pool;
             cfg.cachePolicy = policyFactory(policy);
             cfg.cacheCapacity = 8;
             serve::AsyncEngine engine(tinyCheckpoint(), cfg);
@@ -447,7 +448,7 @@ TEST(LabReplay, BitStableForEveryPolicyAndPoolSize)
 
 TEST(LabReplay, PoolServesConcurrentClientsBitExact)
 {
-    // Concurrent clients x dispatcher pool: any interleaving, any
+    // Concurrent clients x 4 dispatchers: any interleaving, any
     // stripe assignment, any steal must still produce the reference
     // bits. (This is the pool's TSan workout too.)
     const TraceWorkload trace = TraceWorkload::generate(smallTrace(2));
@@ -459,7 +460,7 @@ TEST(LabReplay, PoolServesConcurrentClientsBitExact)
         expected.push_back(reference.predict(text));
 
     serve::AsyncConfig cfg;
-    cfg.dispatchers = 4;
+    cfg.workers = 4;
     cfg.cacheCapacity = 16;
     serve::AsyncEngine engine(tinyCheckpoint(), cfg);
     std::atomic<int> mismatches{0};
@@ -482,7 +483,7 @@ TEST(LabReplay, PoolServesConcurrentClientsBitExact)
 
 TEST(LabReplay, PoolSurvivesRegistryHotSwapUnderLoad)
 {
-    // Pool-enabled engines behind the registry: clients hammer
+    // Two-dispatcher engines behind the registry: clients hammer
     // submit through acquire() while another thread hot-swaps the
     // model. Every answer must be bit-exact against the reference
     // (both generations serve the same checkpoint) and no request
@@ -498,7 +499,7 @@ TEST(LabReplay, PoolSurvivesRegistryHotSwapUnderLoad)
 
     obs::MetricRegistry metrics;
     serve::RegistryConfig rcfg;
-    rcfg.engine.dispatchers = 2;
+    rcfg.engine.workers = 2;
     rcfg.engine.cacheCapacity = 16;
     rcfg.registry = &metrics;
     rcfg.metricRoot = "labswap";

@@ -5,19 +5,22 @@
  * scale with the worker count), bit-equality of concurrent
  * submission with the sequential reference across thread counts and
  * random interleavings, micro-batcher behavior (submitAll groups,
- * coalescing), shutdown draining, error propagation through
- * futures, atomic-stats reconciliation, and the sharded LRU cache.
+ * maxBatch splits, no wait on the fork-join pool), shutdown
+ * draining, error propagation through futures, atomic-stats
+ * reconciliation, and the sharded LRU cache.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <thread>
 #include <unordered_set>
 
+#include "base/parallel.hh"
 #include "base/random.hh"
 #include "bhive/corpus.hh"
 #include "core/raw_table.hh"
@@ -364,58 +367,103 @@ TEST(AsyncEngine, ConcurrentSyncCallsAreSafe)
 
 TEST(AsyncEngine, PoolShutdownDrainsEveryQueue)
 {
-    // Dispatcher pool: requests striped over several intake queues
-    // must all complete (with the right bits) through an immediate
-    // shutdown — the drain covers every per-worker queue, not just
-    // one dispatcher's.
+    // Requests striped over the dispatchers' intake queues must all
+    // complete (with the right bits) through an immediate shutdown
+    // — the drain covers every per-dispatcher queue, for every
+    // dispatcher count.
     const auto texts = corpusTexts(24, 0xbb);
-    AsyncConfig cfg;
-    cfg.dispatchers = 4;
-    AsyncEngine engine(ithemalCheckpoint(), cfg);
     PredictionEngine reference(ithemalCheckpoint());
-    std::vector<std::future<double>> futures;
-    futures.reserve(texts.size());
-    for (const auto &text : texts)
-        futures.push_back(engine.submit(text));
-    engine.shutdown();
-    for (size_t i = 0; i < texts.size(); ++i)
-        EXPECT_TRUE(
-            sameBits(futures[i].get(), reference.predict(texts[i])));
-    EXPECT_THROW(engine.submit(texts[0]), EngineStoppedError);
+    for (int workers : {1, 2, 4}) {
+        AsyncConfig cfg;
+        cfg.workers = workers;
+        AsyncEngine engine(ithemalCheckpoint(), cfg);
+        std::vector<std::future<double>> futures;
+        futures.reserve(texts.size());
+        for (const auto &text : texts)
+            futures.push_back(engine.submit(text));
+        engine.shutdown();
+        for (size_t i = 0; i < texts.size(); ++i)
+            EXPECT_TRUE(sameBits(futures[i].get(),
+                                 reference.predict(texts[i])))
+                << workers << " workers, block " << i;
+        EXPECT_THROW(engine.submit(texts[0]), EngineStoppedError);
+    }
 }
 
 TEST(AsyncEngine, PoolQueueMetricsReconcile)
 {
-    // Satellite of the traffic-lab PR: with a dispatcher pool the
-    // queue_depth gauge mirrors the backlog summed over every
-    // per-worker queue (one queue alone would under-report), and
-    // stage.queue_wait_ns times from the enqueue on the owning
+    // The queue_depth gauge mirrors the backlog summed over every
+    // per-dispatcher queue (one queue alone would under-report),
+    // and stage.queue_wait_ns times from the enqueue on the owning
     // queue — so after a full drain the gauge reads 0 and the wait
     // histogram holds exactly one observation per queued request.
     const auto texts = corpusTexts(32, 0xcc);
-    obs::MetricRegistry registry;
-    AsyncConfig cfg;
-    cfg.dispatchers = 4;
-    cfg.registry = &registry;
-    cfg.metricPrefix = "poolrec";
-    AsyncEngine engine(ithemalCheckpoint(), cfg);
-    for (std::future<double> &future : engine.submitAll(texts))
-        future.get();
-    for (const auto &text : texts) // warm repeats: front-cache hits
-        engine.submit(text).get();
-    engine.shutdown();
+    for (int workers : {1, 2, 4}) {
+        obs::MetricRegistry registry;
+        AsyncConfig cfg;
+        cfg.workers = workers;
+        cfg.registry = &registry;
+        cfg.metricPrefix = "poolrec";
+        AsyncEngine engine(ithemalCheckpoint(), cfg);
+        for (std::future<double> &future : engine.submitAll(texts))
+            future.get();
+        for (const auto &text : texts) // warm repeats: front hits
+            engine.submit(text).get();
+        engine.shutdown();
 
-    EXPECT_EQ(registry.gauge("poolrec.queue_depth").value(), 0);
-    // Every text missed the front cache exactly once and queued;
-    // the warm repeats resolved inline and never waited.
-    const auto waits =
-        registry.histogram("poolrec.stage.queue_wait_ns").snapshot();
-    EXPECT_EQ(waits.count(), engine.stats().textMisses.load());
-    EXPECT_EQ(waits.count(), texts.size());
-    // Async end-to-end spans cover the same queued population.
-    const auto requests =
-        registry.histogram("poolrec.request_ns").snapshot();
-    EXPECT_EQ(requests.count(), texts.size());
+        EXPECT_EQ(registry.gauge("poolrec.queue_depth").value(), 0)
+            << workers << " workers";
+        // Every text missed the front cache exactly once and
+        // queued; the warm repeats resolved inline and never
+        // waited.
+        const auto waits =
+            registry.histogram("poolrec.stage.queue_wait_ns")
+                .snapshot();
+        EXPECT_EQ(waits.count(), engine.stats().textMisses.load());
+        EXPECT_EQ(waits.count(), texts.size()) << workers;
+        // Async end-to-end spans cover the same queued population.
+        const auto requests =
+            registry.histogram("poolrec.request_ns").snapshot();
+        EXPECT_EQ(requests.count(), texts.size()) << workers;
+    }
+}
+
+TEST(AsyncEngine, QueuedMissesNeverWaitOnTheForkJoinPool)
+{
+    // Regression: a dispatcher used to fan its micro-batch out with
+    // parallelShards, whose run mutex serializes fork-join callers.
+    // A client running inside a fork-join job — shard 1 of an outer
+    // parallelShards, which holds that mutex until the shard
+    // returns — then waited on a dispatcher that waited on the
+    // client's own job, until the client gave up. Each dispatcher
+    // now serves its batch inline on its one executor, so the
+    // futures complete while the outer job still runs. Registered a
+    // second time under DIFFTUNE_THREADS=4, so the outer job runs
+    // on a real pool worker on any runner.
+    const auto texts = corpusTexts(8, 0xdd);
+    AsyncConfig cfg;
+    cfg.workers = 4;
+    AsyncEngine engine(surrogateCheckpoint(), cfg);
+    std::vector<std::future<double>> futures;
+    bool all_ready = false;
+    parallelShards(2, 2, [&](size_t lo, size_t hi, int) {
+        if (lo > 1 || hi <= 1)
+            return; // only the shard holding item 1 submits
+        futures = engine.submitAll(texts);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        all_ready = true;
+        for (const std::future<double> &future : futures)
+            all_ready = all_ready && future.wait_until(deadline) ==
+                                         std::future_status::ready;
+    });
+    EXPECT_TRUE(all_ready)
+        << "queued misses waited on the fork-join pool";
+    ASSERT_EQ(futures.size(), texts.size());
+    for (size_t i = 0; i < texts.size(); ++i)
+        EXPECT_TRUE(sameBits(futures[i].get(),
+                             engine.predictUncached(texts[i])))
+            << "block " << i;
 }
 
 TEST(ShardedLruCacheTest, StripeBalanceOnDenseBlockIds)
