@@ -9,8 +9,8 @@
  *   bit-exact         identical IEEE-754 bit patterns
  *   within-tolerance  both finite, symmetric relative error
  *                     |a-b| / max(|a|,|b|) <= tolerance (default
- *                     1e-5 — the repo's f32 accuracy gate); the
- *                     +0.0 / -0.0 pair lands here (rel error 0)
+ *                     1e-5); the +0.0 / -0.0 pair lands here (rel
+ *                     error 0)
  *   diverged          relative error above tolerance, or either
  *                     value NaN/Inf with differing bits (a
  *                     non-finite value never gets tolerance credit)
@@ -56,9 +56,9 @@ const char *diffClassName(DiffClass cls);
 /** Comparison knobs. */
 struct CompareConfig
 {
-    /** Symmetric relative-error bound for within-tolerance; the
-     *  default is the repo's 1e-5 f32 accuracy gate. The boundary
-     *  is inclusive: rel == tolerance classifies as within. */
+    /** Symmetric relative-error bound for within-tolerance. The
+     *  boundary is inclusive: rel == tolerance classifies as
+     *  within. */
     double tolerance = 1e-5;
 };
 

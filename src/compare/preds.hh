@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "io/checkpoint.hh"
-#include "nn/batched.hh"
 
 namespace difftune::compare
 {
@@ -60,7 +59,7 @@ inline constexpr const char *tagPredsBlocks = "PBLK";
 struct EngineInfo
 {
     std::string source;    ///< checkpoint path / "daemon host:port"
-    std::string precision; ///< "f64" or "f32"
+    std::string precision; ///< "f64" (local) or "daemon"
     std::string kernel;    ///< nn::matvecPathName() or "daemon"
     int32_t workers = 0;   ///< shard count (0: remote/unknown)
 };
@@ -130,7 +129,6 @@ inline constexpr const char *defaultCorpusSpec = "gen:48:0xbe7c";
 struct SnapshotOptions
 {
     int workers = 0; ///< shard count (<= 0: library default)
-    nn::Precision precision = nn::Precision::kF64;
 };
 
 /**

@@ -43,8 +43,6 @@ struct ModelSnapshot
     std::shared_ptr<const params::SamplingDist> dist;
     /** Learned simulator parameter table. */
     std::shared_ptr<const params::ParamTable> table;
-    /** Encoding the weights were stored in (see Checkpoint). */
-    nn::Precision weightPrecision = nn::Precision::kF64;
     /**
      * The model's weights as one shareable snapshot (owns a
      * reference to the model). Engines bind their executors to this

@@ -2,7 +2,7 @@
  * @file
  * Batched forward-only execution kernels.
  *
- * Bit-stability contract (kF64): every per-lane expression below
+ * Bit-stability contract: every per-lane expression below
  * replicates graph.cc's fused kernels exactly — each gate
  * pre-activation is (wx_r . x + wh_r . h) + b_r with both dot
  * products accumulated in ascending k order, and the cell update is
@@ -18,89 +18,22 @@
 #include "nn/matvec_inl.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <type_traits>
 
 namespace difftune::nn
 {
 
-const char *
-precisionName(Precision precision)
-{
-    return precision == Precision::kF64 ? "f64" : "f32";
-}
-
-template <> BatchedForward::Lanes<double> &
-BatchedForward::lanes()
-{
-    return f64_;
-}
-
-template <> BatchedForward::Lanes<float> &
-BatchedForward::lanes()
-{
-    return f32_;
-}
-
-template <> const BatchedForward::Lanes<double> &
-BatchedForward::lanes() const
-{
-    return f64_;
-}
-
-template <> const BatchedForward::Lanes<float> &
-BatchedForward::lanes() const
-{
-    return f32_;
-}
-
-template <> const double *
-BatchedForward::weight(int index) const
-{
-    // kF64 reads the ParamSet storage in place (the zero-copy
-    // argument from Graph::param: weights are never written during a
-    // forward pass).
-    return params_[index].data.data();
-}
-
-template <> const float *
-BatchedForward::weight(int index) const
-{
-    return snapshot_->weightF32(index);
-}
-
-template <> const double *
-BatchedForward::matrix(int index) const
-{
-    return snapshot_->panelF64(index);
-}
-
-template <> const float *
-BatchedForward::matrix(int index) const
-{
-    return snapshot_->weightF32(index);
-}
-
 BatchedForward::BatchedForward(
-    std::shared_ptr<const WeightSnapshot> snapshot,
-    Precision precision)
-    : snapshot_(std::move(snapshot)), params_(snapshot_->params()),
-      precision_(precision)
+    std::shared_ptr<const WeightSnapshot> snapshot)
+    : snapshot_(std::move(snapshot)), params_(snapshot_->params())
 {
-    // The panels live in the snapshot: the first bind of each
-    // precision pays the one-time packing or conversion, every later
-    // bind reuses it.
-    if (precision_ == Precision::kF64)
-        snapshot_->ensurePanels();
-    else
-        snapshot_->ensureF32();
+    // The panels live in the snapshot: the first bind pays the
+    // one-time packing, every later bind reuses it.
+    snapshot_->ensurePanels();
 }
 
-BatchedForward::BatchedForward(const ParamSet &params,
-                               Precision precision)
-    : BatchedForward(std::make_shared<WeightSnapshot>(params),
-                     precision)
+BatchedForward::BatchedForward(const ParamSet &params)
+    : BatchedForward(std::make_shared<WeightSnapshot>(params))
 {
 }
 
@@ -112,10 +45,7 @@ BatchedForward::begin(int dim)
     lanes_.clear();
     rowTab_.clear();
     rowIdx_.clear();
-    if (precision_ == Precision::kF64)
-        f64_.in.clear();
-    else
-        f32_.in.clear();
+    in_.clear();
 }
 
 int
@@ -126,14 +56,8 @@ BatchedForward::addLane(int steps)
              steps);
     Lane lane;
     lane.len = steps;
-    const size_t doubles = size_t(steps) * dim_;
-    if (precision_ == Precision::kF64) {
-        lane.off = f64_.in.size();
-        f64_.in.resize(lane.off + doubles);
-    } else {
-        lane.off = f32_.in.size();
-        f32_.in.resize(lane.off + doubles);
-    }
+    lane.off = in_.size();
+    in_.resize(lane.off + size_t(steps) * dim_);
     lane.step0 = int32_t(lane.off / size_t(dim_));
     rowTab_.resize(size_t(lane.step0) + size_t(steps), -1);
     rowIdx_.resize(size_t(lane.step0) + size_t(steps), -1);
@@ -157,12 +81,7 @@ BatchedForward::setInput(int lane, int step, int offset,
         lanes_[size_t(lane)].off + size_t(step) * dim_ + offset;
     // A raw write makes the step's value no longer a pure table row.
     rowTab_[size_t(lanes_[size_t(lane)].step0) + size_t(step)] = -1;
-    if (precision_ == Precision::kF64) {
-        std::copy(x, x + n, f64_.in.begin() + long(at));
-    } else {
-        for (int i = 0; i < n; ++i)
-            f32_.in[at + i] = float(x[i]);
-    }
+    std::copy(x, x + n, in_.begin() + long(at));
 }
 
 void
@@ -172,37 +91,16 @@ BatchedForward::setInputParamRow(int lane, int step, int offset,
     const Tensor &table = params_[table_index];
     panic_if(row < 0 || row >= table.rows,
              "setInputParamRow: row {} of {}", row, table.rows);
-    if (precision_ == Precision::kF64) {
-        setInput(lane, step, offset, table.row(row), table.cols);
-    } else {
-        panic_if(lane < 0 || size_t(lane) >= lanes_.size(),
-                 "setInputParamRow: lane {} of {}", lane,
-                 lanes_.size());
-        panic_if(step < 0 || step >= lanes_[size_t(lane)].len,
-                 "setInputParamRow: step {} of {}", step,
-                 lanes_[size_t(lane)].len);
-        panic_if(offset < 0 || offset + table.cols > dim_,
-                 "setInputParamRow: [{}, {}) out of dim {}", offset,
-                 offset + table.cols, dim_);
-        // Gather from the converted weights — identical bits to
-        // converting the double row here (float(double) is a pure
-        // function), but no per-use conversion cost.
-        const float *src = weight<float>(table_index) +
-                           size_t(row) * table.cols;
-        const size_t at =
-            lanes_[size_t(lane)].off + size_t(step) * dim_ + offset;
-        std::copy(src, src + table.cols, f32_.in.begin() + long(at));
-    }
+    setInput(lane, step, offset, table.row(row), table.cols);
     // A step whose whole input is one table row is marked with its
     // provenance so run() can use the precomputed Wx projection of
-    // that row (an embedding gather skips its layer-0 input matvec).
-    const size_t mark =
-        size_t(lanes_[size_t(lane)].step0) + size_t(step);
+    // that row (an embedding gather skips its layer-0 input matvec);
+    // setInput has already cleared the mark of any other step.
     if (offset == 0 && table.cols == dim_) {
+        const size_t mark =
+            size_t(lanes_[size_t(lane)].step0) + size_t(step);
         rowTab_[mark] = int32_t(table_index);
         rowIdx_[mark] = int32_t(row);
-    } else {
-        rowTab_[mark] = -1;
     }
 }
 
@@ -223,23 +121,11 @@ BatchedForward::setInputPrevHidden(int lane, int step, int offset,
     const size_t at =
         lanes_[size_t(lane)].off + size_t(step) * dim_ + offset;
     rowTab_[size_t(lanes_[size_t(lane)].step0) + size_t(step)] = -1;
-    if (precision_ == Precision::kF64) {
-        panic_if(src_lane < 0 ||
-                     size_t(src_lane + 1) * lastHidden_ >
-                         f64_.finalH.size(),
-                 "setInputPrevHidden: bad source lane {}", src_lane);
-        const double *src =
-            f64_.finalH.data() + size_t(src_lane) * lastHidden_;
-        std::copy(src, src + lastHidden_, f64_.in.begin() + long(at));
-    } else {
-        panic_if(src_lane < 0 ||
-                     size_t(src_lane + 1) * lastHidden_ >
-                         f32_.finalH.size(),
-                 "setInputPrevHidden: bad source lane {}", src_lane);
-        const float *src =
-            f32_.finalH.data() + size_t(src_lane) * lastHidden_;
-        std::copy(src, src + lastHidden_, f32_.in.begin() + long(at));
-    }
+    panic_if(src_lane < 0 ||
+                 size_t(src_lane + 1) * lastHidden_ > finalH_.size(),
+             "setInputPrevHidden: bad source lane {}", src_lane);
+    const double *src = finalH_.data() + size_t(src_lane) * lastHidden_;
+    std::copy(src, src + lastHidden_, in_.begin() + long(at));
 }
 
 namespace
@@ -252,8 +138,8 @@ namespace
  *
  * computed exactly as graph.cc's fused lstmStep computes them — two
  * runs of the shared matvec kernel on the same packed panels and
- * one combining pass — so the kF64 batched forward is bit-identical
- * to the sequential engine by construction.
+ * one combining pass — so the batched forward is bit-identical to
+ * the sequential engine by construction.
  *
  * The one divergence is an *exact* shortcut: at a lane's first step
  * the incoming hidden state is all zero, so the (4H x H) recurrent
@@ -264,11 +150,10 @@ namespace
  * matvec bit for bit at one third fewer multiplies per first step.
  */
 /** wxx may alias z (in-place combine), so neither is restrict. */
-template <typename T>
 inline void
-laneGatesCombine(const T *wxx, const T *__restrict wh,
-                 const T *__restrict bias, const T *__restrict h,
-                 T *z, T *__restrict scratch, int rows, int hidden)
+laneGatesCombine(const double *wxx, const double *__restrict wh,
+                 const double *__restrict bias, const double *__restrict h,
+                 double *z, double *__restrict scratch, int rows, int hidden)
 {
     if (h) {
         matvecForward(wh, h, scratch, rows, hidden);
@@ -276,122 +161,45 @@ laneGatesCombine(const T *wxx, const T *__restrict wh,
             z[r] = (wxx[r] + scratch[r]) + bias[r];
     } else {
         for (int r = 0; r < rows; ++r)
-            z[r] = (wxx[r] + T(0)) + bias[r];
+            z[r] = (wxx[r] + 0.0) + bias[r];
     }
 }
 
-template <typename T>
 inline void
-laneGates(const T *__restrict wx, const T *__restrict wh,
-          const T *__restrict bias, const T *__restrict x,
-          const T *__restrict h, T *__restrict z,
-          T *__restrict scratch, int rows, int in_dim, int hidden)
+laneGates(const double *__restrict wx, const double *__restrict wh,
+          const double *__restrict bias, const double *__restrict x,
+          const double *__restrict h, double *__restrict z,
+          double *__restrict scratch, int rows, int in_dim, int hidden)
 {
     matvecForward(wx, x, z, rows, in_dim);
     laneGatesCombine(z, wh, bias, h, z, scratch, rows, hidden);
 }
 
 /**
- * Fast float e^x for the kF32 serving mode: Cephes-style range
- * reduction (x = n ln2 + r with the round-to-nearest magic-number
- * trick, so no floor() call blocks vectorization on baseline SSE2)
- * plus a degree-6 polynomial for e^r, scaled by 2^n through the
- * exponent bits. Pure float mul/add/convert — deterministic, inlines
- * into the cell-update loop and auto-vectorizes. Relative error is
- * ~1 ulp (~1e-7), far inside the serving mode's 1e-5 gate; inputs
- * are clamped to +-87, past which the true sigmoid/tanh saturate
- * anyway.
- *
- * kF64 never touches this: the double path calls libm so it stays
- * bit-identical to the graph engine.
- */
-inline float
-fastExpF32(float x)
-{
-    x = std::min(87.0f, std::max(-87.0f, x));
-    // Round x/ln2 to the nearest integer without floor(): adding
-    // 1.5 * 2^23 forces the mantissa to integer granularity.
-    const float t = x * 1.44269504088896341f;
-    const float magic = 12582912.0f; // 1.5 * 2^23
-    const float fn = (t + magic) - magic;
-    // r = x - n ln2 in two steps (hi/lo split of ln2) keeps r exact.
-    const float r = (x - fn * 0.693359375f) - fn * -2.12194440e-4f;
-    // e^r on [-ln2/2, ln2/2]: Cephes expf polynomial.
-    float p = 1.9875691500e-4f;
-    p = p * r + 1.3981999507e-3f;
-    p = p * r + 8.3334519073e-3f;
-    p = p * r + 4.1665795894e-2f;
-    p = p * r + 1.6666665459e-1f;
-    p = p * r + 5.0000001201e-1f;
-    const float er = (p * r) * r + r + 1.0f;
-    // 2^n via the exponent field (n is in [-126, 126] after the
-    // input clamp).
-    const int32_t n = int32_t(fn);
-    const float scale =
-        std::bit_cast<float>(uint32_t(n + 127) << 23);
-    return er * scale;
-}
-
-inline float
-fastSigmoidF32(float z)
-{
-    return 1.0f / (1.0f + fastExpF32(-z));
-}
-
-inline float
-fastTanhF32(float x)
-{
-    // (u - 1) / (u + 1) with u = e^{2x}: branchless, saturates
-    // correctly in both directions under fastExpF32's input clamp.
-    const float u = fastExpF32(2.0f * x);
-    return (u - 1.0f) / (u + 1.0f);
-}
-
-/**
  * The per-element LSTM cell update of one lane, gate order
- * [i f g o]. In double this is the exact expression chain of
- * graph.cc's lstmStep forward (libm exp/tanh included); in float
- * the transcendentals go through the polynomial kernels above —
- * straight-line arithmetic, the dominant cost of the forward pass
- * at serving widths, and a big part of why the f32 mode is
- * accuracy-gated instead of bit-gated.
+ * [i f g o]: the exact expression chain of graph.cc's lstmStep
+ * forward, libm exp/tanh included.
  */
-template <typename T>
 inline void
-laneCellUpdate(const T *__restrict z, T *__restrict h,
-               T *__restrict c, int hidden)
+laneCellUpdate(const double *__restrict z, double *__restrict h,
+               double *__restrict c, int hidden)
 {
     for (int i = 0; i < hidden; ++i) {
-        T gi, gf, gg, go;
-        if constexpr (std::is_same_v<T, float>) {
-            gi = fastSigmoidF32(z[i]);
-            gf = fastSigmoidF32(z[hidden + i]);
-            gg = fastTanhF32(z[2 * hidden + i]);
-            go = fastSigmoidF32(z[3 * hidden + i]);
-        } else {
-            gi = T(1) / (T(1) + std::exp(-z[i]));
-            gf = T(1) / (T(1) + std::exp(-z[hidden + i]));
-            gg = std::tanh(z[2 * hidden + i]);
-            go = T(1) / (T(1) + std::exp(-z[3 * hidden + i]));
-        }
-        const T cnew = (gf * c[i]) + (gi * gg);
-        T tc;
-        if constexpr (std::is_same_v<T, float>)
-            tc = fastTanhF32(cnew);
-        else
-            tc = std::tanh(cnew);
-        h[i] = go * tc;
+        const double gi = 1.0 / (1.0 + std::exp(-z[i]));
+        const double gf = 1.0 / (1.0 + std::exp(-z[hidden + i]));
+        const double gg = std::tanh(z[2 * hidden + i]);
+        const double go = 1.0 / (1.0 + std::exp(-z[3 * hidden + i]));
+        const double cnew = (gf * c[i]) + (gi * gg);
+        h[i] = go * std::tanh(cnew);
         c[i] = cnew;
     }
 }
 
 } // namespace
 
-template <typename T>
 void
-BatchedForward::runImpl(const LstmStackRef &stack)
+BatchedForward::run(const LstmStackRef &stack)
 {
-    Lanes<T> &ws = lanes<T>();
     const int hidden = stack.hidden;
     const int layers = int(stack.layers.size());
     const int count = int(lanes_.size());
@@ -402,7 +210,7 @@ BatchedForward::runImpl(const LstmStackRef &stack)
     panic_if(layers == 0 || hidden == 0, "run: empty stack ref");
 
     lastHidden_ = hidden;
-    ws.finalH.resize(size_t(count) * hidden);
+    finalH_.resize(size_t(count) * hidden);
     if (count == 0)
         return;
 
@@ -426,11 +234,11 @@ BatchedForward::runImpl(const LstmStackRef &stack)
     // zero. h's zero fill is only defensive — the t = 0 shortcut in
     // laneGates never reads the initial hidden state.
     const size_t per_layer = size_t(count) * hidden;
-    ws.h.assign(size_t(layers) * per_layer, T(0));
-    ws.c.assign(size_t(layers) * per_layer, T(0));
-    ws.gates.resize(size_t(8) * hidden); // z (4H) + wh scratch (4H)
-    T *z = ws.gates.data();
-    T *scratch = z + size_t(4) * hidden;
+    h_.assign(size_t(layers) * per_layer, 0.0);
+    c_.assign(size_t(layers) * per_layer, 0.0);
+    gates_.resize(size_t(8) * hidden); // z (4H) + wh scratch (4H)
+    double *z = gates_.data();
+    double *scratch = z + size_t(4) * hidden;
 
     const int max_len = lanes_[size_t(order_[0])].len;
     int active = count;
@@ -447,17 +255,20 @@ BatchedForward::runImpl(const LstmStackRef &stack)
         for (int l = 0; l < layers; ++l) {
             const LstmLayerRef &layer = stack.layers[size_t(l)];
             const int in_dim = l == 0 ? dim_ : hidden;
-            const T *wx = matrix<T>(layer.wx);
-            const T *wh = matrix<T>(layer.wh);
-            const T *bias = weight<T>(layer.bias);
-            T *hl = ws.h.data() + size_t(l) * per_layer;
-            T *cl = ws.c.data() + size_t(l) * per_layer;
+            const double *wx = snapshot_->panelF64(layer.wx);
+            const double *wh = snapshot_->panelF64(layer.wh);
+            // Read in place (the zero-copy argument from
+            // Graph::param: weights are never written during a
+            // forward pass).
+            const double *bias = params_[layer.bias].data.data();
+            double *hl = h_.data() + size_t(l) * per_layer;
+            double *cl = c_.data() + size_t(l) * per_layer;
             for (int s = 0; s < active; ++s) {
                 const Lane &lane =
                     lanes_[size_t(order_[size_t(s)])];
-                T *h = hl + size_t(s) * hidden;
-                T *c = cl + size_t(s) * hidden;
-                const T *prev_h = t == 0 ? nullptr : h;
+                double *h = hl + size_t(s) * hidden;
+                double *c = cl + size_t(s) * hidden;
+                const double *prev_h = t == 0 ? nullptr : h;
                 const int32_t tab =
                     l == 0 ? rowTab_[size_t(lane.step0) + size_t(t)]
                            : -1;
@@ -468,7 +279,7 @@ BatchedForward::runImpl(const LstmStackRef &stack)
                     // shared snapshot, once across all sibling
                     // executors — so the whole layer-0 input matvec
                     // is skipped.
-                    const T *proj = snapshot_->projTable<T>(
+                    const double *proj = snapshot_->projTable(
                         layer.wx, tab, 4 * hidden, in_dim);
                     const int32_t row =
                         rowIdx_[size_t(lane.step0) + size_t(t)];
@@ -476,8 +287,8 @@ BatchedForward::runImpl(const LstmStackRef &stack)
                                      wh, bias, prev_h, z, scratch,
                                      4 * hidden, hidden);
                 } else {
-                    const T *x =
-                        l == 0 ? ws.in.data() + lane.off +
+                    const double *x =
+                        l == 0 ? in_.data() + lane.off +
                                      size_t(t) * dim_
                                : h - per_layer; // layer below
                     laneGates(wx, wh, bias, x, prev_h, z, scratch,
@@ -487,58 +298,37 @@ BatchedForward::runImpl(const LstmStackRef &stack)
             }
         }
         // Lanes ending at this step hand their top-layer hidden
-        // state to finalH, indexed by original lane id.
-        const T *top = ws.h.data() + size_t(layers - 1) * per_layer;
+        // state to finalH_, indexed by original lane id.
+        const double *top = h_.data() + size_t(layers - 1) * per_layer;
         for (int s = 0; s < active; ++s) {
             const int id = order_[size_t(s)];
             if (lanes_[size_t(id)].len != t + 1)
                 continue;
-            const T *src = top + size_t(s) * hidden;
+            const double *src = top + size_t(s) * hidden;
             std::copy(src, src + hidden,
-                      ws.finalH.begin() +
-                          long(size_t(id) * hidden));
+                      finalH_.begin() + long(size_t(id) * hidden));
         }
-    }
-}
-
-void
-BatchedForward::run(const LstmStackRef &stack)
-{
-    if (precision_ == Precision::kF64)
-        runImpl<double>(stack);
-    else
-        runImpl<float>(stack);
-}
-
-template <typename T>
-void
-BatchedForward::headAllImpl(const LinearRef &head, double *out) const
-{
-    const Lanes<T> &ws = lanes<T>();
-    panic_if(head.outDim != 1,
-             "headAll expects a scalar head, got outDim {}",
-             head.outDim);
-    panic_if(head.inDim != lastHidden_,
-             "headAll: head expects {} inputs, last run produced {}",
-             head.inDim, lastHidden_);
-    const T *w = weight<T>(head.weight);
-    const T b = weight<T>(head.bias)[0];
-    for (size_t j = 0; j < lanes_.size(); ++j) {
-        const T *hj = ws.finalH.data() + j * lastHidden_;
-        T sum = 0;
-        for (int k = 0; k < lastHidden_; ++k)
-            sum += w[k] * hj[k];
-        out[j] = double(sum + b);
     }
 }
 
 void
 BatchedForward::headAll(const LinearRef &head, double *out) const
 {
-    if (precision_ == Precision::kF64)
-        headAllImpl<double>(head, out);
-    else
-        headAllImpl<float>(head, out);
+    panic_if(head.outDim != 1,
+             "headAll expects a scalar head, got outDim {}",
+             head.outDim);
+    panic_if(head.inDim != lastHidden_,
+             "headAll: head expects {} inputs, last run produced {}",
+             head.inDim, lastHidden_);
+    const double *w = params_[head.weight].data.data();
+    const double b = params_[head.bias].data[0];
+    for (size_t j = 0; j < lanes_.size(); ++j) {
+        const double *hj = finalH_.data() + j * lastHidden_;
+        double sum = 0;
+        for (int k = 0; k < lastHidden_; ++k)
+            sum += w[k] * hj[k];
+        out[j] = sum + b;
+    }
 }
 
 void
@@ -546,21 +336,10 @@ BatchedForward::finalHidden(int lane, double *out) const
 {
     panic_if(lastHidden_ == 0, "finalHidden before run()");
     panic_if(lane < 0 ||
-                 size_t(lane + 1) * lastHidden_ >
-                     (precision_ == Precision::kF64
-                          ? f64_.finalH.size()
-                          : f32_.finalH.size()),
+                 size_t(lane + 1) * lastHidden_ > finalH_.size(),
              "finalHidden: bad lane {}", lane);
-    if (precision_ == Precision::kF64) {
-        const double *src =
-            f64_.finalH.data() + size_t(lane) * lastHidden_;
-        std::copy(src, src + lastHidden_, out);
-    } else {
-        const float *src =
-            f32_.finalH.data() + size_t(lane) * lastHidden_;
-        for (int i = 0; i < lastHidden_; ++i)
-            out[i] = double(src[i]);
-    }
+    const double *src = finalH_.data() + size_t(lane) * lastHidden_;
+    std::copy(src, src + lastHidden_, out);
 }
 
 } // namespace difftune::nn

@@ -1,8 +1,7 @@
 /**
  * @file
  * Batched multi-block forward inference: the serving-side execution
- * mode of the nn/ substrate (no tape, shared weight reads, optional
- * single-precision kernels).
+ * mode of the nn/ substrate (no tape, shared weight reads).
  *
  * The autograd Graph executes one block at a time and pays tape
  * construction per node. BatchedForward runs N ragged sequences
@@ -19,23 +18,22 @@
  *    product of every table row is precomputed once per (weight,
  *    table) pair and the whole layer-0 input matvec is skipped.
  *
- * All weight-derived state — the f64 view, the lazily-converted f32
- * panels and the input-projection tables — lives in an immutable
+ * All weight-derived state — the packed f64 panels and the
+ * input-projection tables — lives in an immutable
  * nn::WeightSnapshot (see nn/snapshot.hh) that the executor borrows
  * through a shared_ptr. Any number of executors (e.g. the serving
- * engine's shards) bind one snapshot and share a single copy; an
- * executor only owns its per-batch lane scratch.
+ * engine's dispatchers) bind one snapshot and share a single copy;
+ * an executor only owns its per-batch lane scratch.
  *
- * # Bit-stability contract (double precision)
+ * # Bit-stability contract
  *
- * In Precision::kF64 every per-lane arithmetic operation replicates
- * the graph engine's per-element expression shape and k-ascending
- * accumulation order exactly — the matvec kernel is literally the
- * same one on the same packed panels (nn/matvec_inl.hh), and both
- * shortcuts above are value-exact — so a batched forward pass is
- * bit-identical to running each lane through its own Graph,
- * regardless of batch size, submission order or the lengths of the
- * other lanes.
+ * Every per-lane arithmetic operation replicates the graph engine's
+ * per-element expression shape and k-ascending accumulation order
+ * exactly — the matvec kernel is literally the same one on the same
+ * packed panels (nn/matvec_inl.hh), and both shortcuts above are
+ * value-exact — so a batched forward pass is bit-identical to
+ * running each lane through its own Graph, regardless of batch
+ * size, submission order or the lengths of the other lanes.
  * tests/test_nn_batched.cc and the golden suite lock this in.
  *
  * # Ragged batches and masking
@@ -47,22 +45,9 @@
  * numerics. A lane's final hidden state is captured at its own last
  * step.
  *
- * # Single-precision serving (Precision::kF32)
- *
- * An opt-in inference mode for serving: all parameters are
- * converted to float once per *snapshot* (the first kF32 executor
- * bind triggers it; later binds reuse the shared panels), the
- * kernels run in single precision, and the sigmoid/tanh
- * transcendentals — the other dominant cost at serving widths — go
- * through fast polynomial approximations (straight-line float
- * arithmetic, deterministic, auto-vectorizable) instead of libm.
- * Accuracy is gated, not bit-gated: the serving tests require
- * relative error < 1e-5 against the double path on the test corpus.
- * Training never uses this mode.
- *
  * The bound ParamSet must stay frozen for the executor's lifetime
- * (the f32 conversion and the input projections snapshot it). Usage
- * per LSTM level:
+ * (the panels and the input projections snapshot it). Usage per
+ * LSTM level:
  *
  *     bf.begin(in_dim);
  *     int lane = bf.addLane(steps);
@@ -84,16 +69,6 @@
 
 namespace difftune::nn
 {
-
-/** Arithmetic precision of a forward-only execution mode. */
-enum class Precision : uint8_t
-{
-    kF64, ///< double; bit-identical to the Graph engine
-    kF32, ///< float serving mode; accuracy-gated, not bit-gated
-};
-
-/** "f64" / "f32". */
-const char *precisionName(Precision precision);
 
 /** Parameter indices of one LSTM layer (all within one ParamSet). */
 struct LstmLayerRef
@@ -131,26 +106,21 @@ class BatchedForward
   public:
     /**
      * Borrow @p snapshot (shared with any number of sibling
-     * executors). kF64 reads the snapshot's ParamSet storage in
-     * place; kF32 triggers the snapshot's one-time f32 conversion
-     * (a no-op if a sibling already did).
+     * executors). The first bind packs the snapshot's f64 panels;
+     * later binds reuse them.
      */
     explicit BatchedForward(
-        std::shared_ptr<const WeightSnapshot> snapshot,
-        Precision precision = Precision::kF64);
+        std::shared_ptr<const WeightSnapshot> snapshot);
 
     /**
      * Convenience: bind to @p params through a private snapshot
      * (for standalone users — tests, benches). @p params must
      * outlive the executor; nothing is shared.
      */
-    explicit BatchedForward(const ParamSet &params,
-                            Precision precision = Precision::kF64);
+    explicit BatchedForward(const ParamSet &params);
 
     BatchedForward(const BatchedForward &) = delete;
     BatchedForward &operator=(const BatchedForward &) = delete;
-
-    Precision precision() const { return precision_; }
 
     const WeightSnapshot &snapshot() const { return *snapshot_; }
 
@@ -174,22 +144,21 @@ class BatchedForward
 
     /**
      * Fill @p n elements of (lane, step)'s input at @p offset from
-     * @p x (converted to the working precision on copy).
+     * @p x.
      */
     void setInput(int lane, int step, int offset, const double *x,
                   int n);
 
     /**
      * Input slice = row @p row of parameter @p table_index (an
-     * embedding gather, read from the precision-converted weights).
+     * embedding gather).
      */
     void setInputParamRow(int lane, int step, int offset,
                           int table_index, int row);
 
     /**
      * Input slice = the previous run()'s final hidden state of
-     * @p src_lane (copied in the working precision, no double
-     * round trip).
+     * @p src_lane.
      */
     void setInputPrevHidden(int lane, int step, int offset,
                             int src_lane);
@@ -218,42 +187,15 @@ class BatchedForward
     size_t numLanes() const { return lanes_.size(); }
 
   private:
-    /** Per-precision scratch; only the active precision's is used. */
-    template <typename T> struct Lanes
-    {
-        std::vector<T> in;     ///< ragged inputs, lane-major
-        std::vector<T> h, c;   ///< layers x lanes x hidden
-        std::vector<T> gates;  ///< one lane's z + wh scratch
-        std::vector<T> finalH; ///< lanes x hidden (flat)
-    };
-
     struct Lane
     {
         int len = 0;       ///< steps
-        size_t off = 0;    ///< offset of step 0 in Lanes::in
+        size_t off = 0;    ///< offset of step 0 in in_
         int32_t step0 = 0; ///< off / dim: index into the step marks
     };
 
-    template <typename T> Lanes<T> &lanes();
-    template <typename T> const Lanes<T> &lanes() const;
-
-    /** Base pointer of parameter @p index in the working precision. */
-    template <typename T> const T *weight(int index) const;
-
-    /**
-     * Parameter @p index as a matvec weight operand: its packed
-     * panel in f64, the row-major f32 panel in f32 (the layouts
-     * nn/matvec_inl.hh's matvecForward expects).
-     */
-    template <typename T> const T *matrix(int index) const;
-
-    template <typename T> void runImpl(const LstmStackRef &stack);
-    template <typename T>
-    void headAllImpl(const LinearRef &head, double *out) const;
-
     std::shared_ptr<const WeightSnapshot> snapshot_;
     const ParamSet &params_; ///< snapshot_->params(), cached
-    Precision precision_;
 
     int dim_ = 0;           ///< input width of the batch being built
     int lastHidden_ = 0;    ///< hidden width of the last run()
@@ -268,8 +210,10 @@ class BatchedForward
     std::vector<int32_t> rowTab_;
     std::vector<int32_t> rowIdx_;
 
-    Lanes<double> f64_;
-    Lanes<float> f32_;
+    std::vector<double> in_;     ///< ragged inputs, lane-major
+    std::vector<double> h_, c_;  ///< layers x lanes x hidden
+    std::vector<double> gates_;  ///< one lane's z + wh scratch
+    std::vector<double> finalH_; ///< lanes x hidden (flat)
 };
 
 } // namespace difftune::nn

@@ -8,10 +8,6 @@
  *    column k of a block is one 4-double load; four blocks (16 rows)
  *    run as four independent accumulator chains. Remainder blocks
  *    run one chain, the rows % 4 tail the plain scalar loop.
- *  - avx2F32 (forward, f32): 8 rows per register from row-major W;
- *    each step loads an 8x8 block and transposes it in registers to
- *    column vectors. Remainder columns gather scalars into a vector,
- *    remainder rows run the scalar loop.
  *  - avx2RankOneF64 (dW += dz x^T): 4 columns of one dW row per
  *    register.
  *  - avx2TransposedF64 (dx += W^T dz): a 16-column tile of dx stays
@@ -166,85 +162,7 @@ avx2TransposedF64(const double *w, const double *dz, double *dx,
     }
 }
 
-void
-avx2F32(const float *w, const float *x, float *out, int rows,
-        int cols)
-{
-    int r = 0;
-    for (; r + 8 <= rows; r += 8) {
-        const float *wr[8];
-        for (int i = 0; i < 8; ++i)
-            wr[i] = w + size_t(r + i) * cols;
-        __m256 acc = _mm256_setzero_ps();
-        int k = 0;
-        for (; k + 8 <= cols; k += 8) {
-            const __m256 a0 = _mm256_loadu_ps(wr[0] + k);
-            const __m256 a1 = _mm256_loadu_ps(wr[1] + k);
-            const __m256 a2 = _mm256_loadu_ps(wr[2] + k);
-            const __m256 a3 = _mm256_loadu_ps(wr[3] + k);
-            const __m256 a4 = _mm256_loadu_ps(wr[4] + k);
-            const __m256 a5 = _mm256_loadu_ps(wr[5] + k);
-            const __m256 a6 = _mm256_loadu_ps(wr[6] + k);
-            const __m256 a7 = _mm256_loadu_ps(wr[7] + k);
-            // 8x8 transpose: col[j][lane] = w_lane[k + j].
-            const __m256 t0 = _mm256_unpacklo_ps(a0, a1);
-            const __m256 t1 = _mm256_unpackhi_ps(a0, a1);
-            const __m256 t2 = _mm256_unpacklo_ps(a2, a3);
-            const __m256 t3 = _mm256_unpackhi_ps(a2, a3);
-            const __m256 t4 = _mm256_unpacklo_ps(a4, a5);
-            const __m256 t5 = _mm256_unpackhi_ps(a4, a5);
-            const __m256 t6 = _mm256_unpacklo_ps(a6, a7);
-            const __m256 t7 = _mm256_unpackhi_ps(a6, a7);
-            const __m256 u0 =
-                _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-            const __m256 u1 =
-                _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-            const __m256 u2 =
-                _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-            const __m256 u3 =
-                _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-            const __m256 u4 =
-                _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-            const __m256 u5 =
-                _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-            const __m256 u6 =
-                _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-            const __m256 u7 =
-                _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-            const __m256 cols8[8] = {
-                _mm256_permute2f128_ps(u0, u4, 0x20),
-                _mm256_permute2f128_ps(u1, u5, 0x20),
-                _mm256_permute2f128_ps(u2, u6, 0x20),
-                _mm256_permute2f128_ps(u3, u7, 0x20),
-                _mm256_permute2f128_ps(u0, u4, 0x31),
-                _mm256_permute2f128_ps(u1, u5, 0x31),
-                _mm256_permute2f128_ps(u2, u6, 0x31),
-                _mm256_permute2f128_ps(u3, u7, 0x31),
-            };
-            for (int j = 0; j < 8; ++j)
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(cols8[j],
-                                       _mm256_set1_ps(x[k + j])));
-        }
-        for (; k < cols; ++k) {
-            const __m256 col = _mm256_set_ps(
-                wr[7][k], wr[6][k], wr[5][k], wr[4][k], wr[3][k],
-                wr[2][k], wr[1][k], wr[0][k]);
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(col, _mm256_set1_ps(x[k])));
-        }
-        _mm256_storeu_ps(out + r, acc);
-    }
-    for (; r < rows; ++r) {
-        const float *row = w + size_t(r) * cols;
-        float sum = 0;
-        for (int k = 0; k < cols; ++k)
-            sum += row[k] * x[k];
-        out[r] = sum;
-    }
-}
-
-const MatvecKernels avx2Kernels{avx2PanelF64, avx2F32, avx2RankOneF64,
+const MatvecKernels avx2Kernels{avx2PanelF64, avx2RankOneF64,
                                 avx2TransposedF64, "avx2"};
 
 } // namespace

@@ -12,7 +12,6 @@
 #include <cstddef>
 
 #include "base/env.hh"
-#include "nn/matvec_inl.hh"
 
 namespace difftune::nn
 {
@@ -64,13 +63,6 @@ scalarPanelF64(const double *__restrict panel, const double *__restrict x,
 }
 
 void
-scalarF32(const float *w, const float *x, float *out, int rows,
-          int cols)
-{
-    matvecForwardScalarT(w, x, out, rows, cols);
-}
-
-void
 scalarRankOneF64(double *__restrict dw, const double *__restrict dz,
                  const double *__restrict x, int rows, int cols)
 {
@@ -98,11 +90,10 @@ scalarTransposedF64(const double *__restrict w, const double *__restrict dz,
     }
 }
 
-const MatvecKernels scalarKernels{scalarPanelF64, scalarF32,
-                                  scalarRankOneF64, scalarTransposedF64,
-                                  "scalar"};
-const MatvecKernels forcedKernels{scalarPanelF64, scalarF32,
-                                  scalarRankOneF64, scalarTransposedF64,
+const MatvecKernels scalarKernels{scalarPanelF64, scalarRankOneF64,
+                                  scalarTransposedF64, "scalar"};
+const MatvecKernels forcedKernels{scalarPanelF64, scalarRankOneF64,
+                                  scalarTransposedF64,
                                   "scalar (forced)"};
 
 const MatvecKernels &

@@ -9,17 +9,15 @@
  * the AVX2 kernels. The table holds:
  *
  *  - panelF64:      out = W x from W's packed f64 panel (packPanel);
- *  - f32:           out = W x from row-major f32 W;
  *  - rankOneF64:    dW += dz x^T (row-major dW);
  *  - transposedF64: dx += W^T dz (row-major W).
  *
  * Paths:
  *
- *  - scalar: portable loops in matvec_dispatch.cc (the forward ones
+ *  - scalar: portable loops in matvec_dispatch.cc (the forward one
  *            blocked for ILP like the reference in matvec_inl.hh).
- *  - avx2:   the forwards vectorized *across rows* (one row per
- *            lane: 4 f64 rows per register straight from the panel,
- *            8 f32 rows per register via an in-register transpose),
+ *  - avx2:   the forward vectorized *across rows* (one row per
+ *            lane: 4 rows per register straight from the panel),
  *            the backwards across columns (4 dW or dx elements per
  *            register). Selected only when the kernels were compiled
  *            in AND cpuid reports AVX2.
@@ -44,9 +42,6 @@ namespace difftune::nn
 /** out = W x in double precision, W given as its packed panel. */
 using PanelMatvecF64Fn = void (*)(const double *panel, const double *x,
                                   double *out, int rows, int cols);
-/** out = W x in single precision (row-major W, rows x cols). */
-using MatvecF32Fn = void (*)(const float *w, const float *x,
-                             float *out, int rows, int cols);
 /** dW[i,:] += dz_i * x^T for every row i with dz_i != 0. */
 using RankOneF64Fn = void (*)(double *dw, const double *dz,
                               const double *x, int rows, int cols);
@@ -58,7 +53,6 @@ using TransposedF64Fn = void (*)(const double *w, const double *dz,
 struct MatvecKernels
 {
     PanelMatvecF64Fn panelF64 = nullptr;
-    MatvecF32Fn f32 = nullptr;
     RankOneF64Fn rankOneF64 = nullptr;
     TransposedF64Fn transposedF64 = nullptr;
     const char *name = "";

@@ -32,9 +32,8 @@ namespace difftune::nn
  * vector x, blocked eight rows at a time — eight independent
  * accumulator chains give the FMA units ILP while each row's sum
  * keeps the reference k-ascending order, so the blocking is
- * bit-transparent. It is the scalar f32 kernel and the graph's
- * kernel for matrices that are not parameters (and so have no
- * panel).
+ * bit-transparent. It is the graph's kernel for matrices that are
+ * not parameters (and so have no panel).
  */
 template <typename T>
 inline void
@@ -101,23 +100,15 @@ matvecForwardScalarT(const T *__restrict w, const T *__restrict x,
 }
 
 /**
- * The forward dispatch points every nn/ engine calls. The weight
- * operand's layout follows the precision: the f64 kernels read W's
- * packed panel (packPanel), the f32 kernels row-major W. Both run
- * the process-wide selected kernels — see matvec_dispatch.hh.
+ * The forward dispatch point every nn/ engine calls: out = W x from
+ * W's packed panel (packPanel), on the process-wide selected kernels
+ * — see matvec_dispatch.hh.
  */
 inline void
 matvecForward(const double *__restrict panel, const double *__restrict x,
               double *__restrict out, int rows, int cols)
 {
     matvecKernels().panelF64(panel, x, out, rows, cols);
-}
-
-inline void
-matvecForward(const float *__restrict w, const float *__restrict x,
-              float *__restrict out, int rows, int cols)
-{
-    matvecKernels().f32(w, x, out, rows, cols);
 }
 
 } // namespace difftune::nn

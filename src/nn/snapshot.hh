@@ -3,41 +3,34 @@
  * WeightSnapshot: one immutable, shareable bundle of everything a
  * forward-only executor derives from a frozen ParamSet.
  *
- * Before serving API v2 every nn::BatchedForward owned a private
- * copy of the derived weight state — the f32-converted panels and
- * the per-(weight, table) input-projection tables — so a W-shard
- * serving engine paid W conversions and held W copies. A
- * WeightSnapshot hoists all of that out of the executor: it borrows
- * the frozen f64 ParamSet in place (zero copy), packs the f64
- * matvec panels into a PanelCache lazily (once, on the first kF64
- * bind), converts the f32 panels lazily (once, on the first kF32
- * bind), caches input projections once per (weight, table) pair,
- * and can carry the loader's precomputed constant input columns
- * (the serving engine's per-opcode parameter-input tensors).
- * Executors borrow the snapshot through a shared_ptr, so any number
- * of shards — across any number of engines — share one copy of
- * every derived table.
+ * A WeightSnapshot borrows the frozen f64 ParamSet in place (zero
+ * copy), packs the f64 matvec panels into a PanelCache lazily (once,
+ * on the first executor bind), caches input projections once per
+ * (weight, table) pair, and can carry the loader's precomputed
+ * constant input columns (the serving engine's per-opcode
+ * parameter-input tensors). Executors borrow the snapshot through a
+ * shared_ptr, so any number of executors — across any number of
+ * engines — share one copy of every derived table instead of one
+ * copy each.
  *
  * # Immutability and thread safety
  *
  * The bound ParamSet must stay frozen for the snapshot's lifetime,
  * and the snapshot itself is logically immutable: every query
  * returns the same bytes forever. The lazy caches are built
- * thread-safely (ensurePanels and ensureF32 via std::call_once;
- * projection tables via an append-only lock-free list with
- * acquire/release publication), and all are pure functions of the
- * frozen weights, so a racing reader either sees the published
- * entry or computes the identical value — results never depend on
- * timing. setInputColumns is the
- * one setup-time mutation: call it before the snapshot is shared
- * across threads (the serving engine does so at load time).
+ * thread-safely (ensurePanels via std::call_once; projection tables
+ * via an append-only lock-free list with acquire/release
+ * publication), and all are pure functions of the frozen weights,
+ * so a racing reader either sees the published entry or computes
+ * the identical value — results never depend on timing.
+ * setInputColumns is the one setup-time mutation: call it before
+ * the snapshot is shared across threads (the serving engine does so
+ * at load time).
  *
  * Bit-exactness: the f64 panels are a permutation of the ParamSet
- * storage, f32 panels are float(double) per element, and every
- * projected row comes from the shared matvec kernels
- * (nn/matvec_inl.hh) — all identical to what a private-copy
- * executor computed before, so sharing changes memory, never
- * results.
+ * storage, and every projected row comes from the shared matvec
+ * kernels (nn/matvec_inl.hh) — identical to what a private-copy
+ * executor would compute, so sharing changes memory, never results.
  */
 
 #ifndef DIFFTUNE_NN_SNAPSHOT_HH
@@ -106,8 +99,8 @@ class WeightSnapshot
 
     /**
      * Pack every parameter into its f64 matvec panel if not yet
-     * done. Thread-safe and idempotent; called by every kF64
-     * executor bind, so the packing happens once per snapshot.
+     * done. Thread-safe and idempotent; called by every executor
+     * bind, so the packing happens once per snapshot.
      */
     void ensurePanels() const;
 
@@ -138,34 +131,6 @@ class WeightSnapshot
      */
     PanelCache &panelCache() const { return panels_; }
 
-    // ---- f32 panels (lazy)
-
-    /**
-     * Build the float-narrowed weight panels if not yet built.
-     * Thread-safe and idempotent; called by every kF32 executor
-     * bind, so the conversion happens once per snapshot, not once
-     * per shard.
-     */
-    void ensureF32() const;
-
-    /** Whether ensureF32 has completed. */
-    bool
-    hasF32() const
-    {
-        return f32Ready_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Base pointer of parameter @p index in the f32 panels
-     * (ensureF32 must have completed).
-     */
-    const float *
-    weightF32(int index) const
-    {
-        panic_if(!hasF32(), "weightF32 before ensureF32");
-        return f32Weights_.data() + offsets_[size_t(index)];
-    }
-
     /**
      * The projection of every row of parameter table @p table
      * through weight @p wx (lazy; cached once per (wx, table) pair
@@ -173,11 +138,9 @@ class WeightSnapshot
      * shared matvec kernel's product of @p wx against table row r —
      * bit-identical to running that matvec at step time. @p rows is
      * the output height (4H for an LSTM input weight), @p in_dim the
-     * table row width. T is double or float (float implies a prior
-     * ensureF32).
+     * table row width.
      */
-    template <typename T>
-    const T *projTable(int wx, int table, int rows, int in_dim) const;
+    const double *projTable(int wx, int table, int rows, int in_dim) const;
 
     // ---- Memory accounting (for the serving CLI / bench / tests)
 
@@ -188,54 +151,36 @@ class WeightSnapshot
     size_t
     panelBytes() const
     {
-        return hasPanels() ? offsets_.back() * sizeof(double) : 0;
-    }
-
-    /** Bytes of the f32 panels (0 until ensureF32). */
-    size_t
-    f32Bytes() const
-    {
-        return hasF32() ? f32Weights_.size() * sizeof(float) : 0;
+        return hasPanels() ? f64Bytes() : 0;
     }
 
     /** Bytes of all cached input projections (grows lazily). */
-    size_t
-    projBytes() const
-    {
-        return projBytesF64() + projBytesF32();
-    }
-
-    /** Bytes of the cached f64 / f32 input projections alone. */
-    size_t projBytesF64() const;
-    size_t projBytesF32() const;
+    size_t projBytes() const;
 
     /** Bytes of the attached constant input columns. */
     size_t inputColumnBytes() const;
 
     /**
      * Bytes of derived state this snapshot holds once for all its
-     * executors (f64 and f32 panels + projection tables + input
-     * columns). The f64 weights themselves are excluded — they are
-     * borrowed in place.
+     * executors (panels + projection tables + input columns). The
+     * f64 weights themselves are excluded — they are borrowed in
+     * place.
      */
     size_t
     sharedBytes() const
     {
-        return panelBytes() + f32Bytes() + projBytes() +
-               inputColumnBytes();
+        return panelBytes() + projBytes() + inputColumnBytes();
     }
 
   private:
     /** One published (wx, table) projection; append-only list node. */
-    template <typename T> struct ProjNode
+    struct ProjNode
     {
         int wx = -1;
         int table = -1;
-        std::vector<T> data;
+        std::vector<double> data;
         ProjNode *next = nullptr;
     };
-
-    template <typename T> std::atomic<ProjNode<T> *> &projHead() const;
 
     const ParamSet &params_;
     std::shared_ptr<const void> owner_;
@@ -243,18 +188,12 @@ class WeightSnapshot
     std::atomic<bool> columnsSet_{false};
     std::vector<Tensor> inputColumns_;
 
-    /** Per-tensor offsets into both panel sets (precomputed). */
-    std::vector<size_t> offsets_;
     mutable PanelCache panels_;
     mutable std::once_flag panelsOnce_;
     mutable std::vector<const double *> panelPtrs_; ///< per parameter
     mutable std::atomic<bool> panelsReady_{false};
-    mutable std::once_flag f32Once_;
-    mutable std::vector<float> f32Weights_;
-    mutable std::atomic<bool> f32Ready_{false};
 
-    mutable std::atomic<ProjNode<double> *> projF64_{nullptr};
-    mutable std::atomic<ProjNode<float> *> projF32_{nullptr};
+    mutable std::atomic<ProjNode *> proj_{nullptr};
 };
 
 } // namespace difftune::nn

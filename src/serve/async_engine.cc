@@ -42,7 +42,7 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
                          AsyncConfig config)
     : artifact_(std::move(artifact)),
       workers_(config.workers > 0 ? config.workers : workerThreads()),
-      precision_(config.precision), config_(config),
+      config_(config),
       interner_(config.internCapacity > 0 ? 2 * config.internCapacity
                                           : size_t(1) << 17,
                 config.internCapacity > 0 ? config.internCapacity
@@ -50,11 +50,7 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
       textCache_(config.cacheCapacity, cacheStripes(config),
                  config.cachePolicy),
       cache_(config.cacheCapacity, cacheStripes(config),
-             config.cachePolicy),
-      encodedCache_(config.encodedCapacity > 0
-                        ? config.encodedCapacity
-                        : 4 * config.cacheCapacity,
-                    cacheStripes(config), config.cachePolicy)
+             config.cachePolicy)
 {
     fatal_if(!artifact_.model || !artifact_.weights,
              "AsyncEngine needs a promoted ModelSnapshot "
@@ -103,15 +99,15 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
     snapshot_ = artifact_.weights;
 
     // One executor + instruction-hidden memo per shard, all
-    // borrowing the one snapshot: the kF32 conversion and every
-    // input projection happen once per engine (or once per
-    // *artifact*, when engines share), no longer once per shard.
-    // The dispatchers start lazily on the first submit.
+    // borrowing the one snapshot: the panel packing and every input
+    // projection happen once per engine (or once per *artifact*,
+    // when engines share), not once per shard. The dispatchers
+    // start lazily on the first submit.
     shards_.reserve(size_t(workers_));
     for (int shard = 0; shard < workers_; ++shard) {
         shards_.emplace_back();
-        shards_.back().batched = std::make_unique<nn::BatchedForward>(
-            snapshot_, precision_);
+        shards_.back().batched =
+            std::make_unique<nn::BatchedForward>(snapshot_);
     }
 
     registerMetrics();
@@ -150,7 +146,6 @@ AsyncEngine::registerMetrics()
                 {"forwards", &stats_.forwards},
                 {"batches", &stats_.batches},
                 {"intern_hits", &stats_.internHits},
-                {"encode_hits", &stats_.encodeHits},
             };
         for (const auto &[field, source] : mirrors) {
             registry_->linkCounter(p + field, source);
@@ -399,48 +394,6 @@ AsyncEngine::predictAll(const std::vector<std::string> &block_texts)
     return results;
 }
 
-double
-AsyncEngine::predictBlock(const isa::BasicBlock &block)
-{
-    obs::StageTimer span(sampleTick() ? stage_.request : nullptr);
-    ++stats_.requests;
-    ++stats_.textMisses; // this entry point bypasses the text cache
-    fatal_if(block.empty(), "cannot predict an empty block");
-    bool known = false;
-    const isa::BlockId id = interner_.internBlock(block, known);
-    if (known)
-        ++stats_.internHits;
-    if (id != isa::invalidBlockId) {
-        if (std::optional<double> hit = cache_.get(id)) {
-            ++stats_.hits;
-            return *hit;
-        }
-    }
-    std::lock_guard lock(batchMutex_);
-    // Re-probe under the batch lock: a racing batch may have just
-    // published this block.
-    if (id != isa::invalidBlockId) {
-        if (std::optional<double> hit = cache_.get(id)) {
-            ++stats_.hits;
-            return *hit;
-        }
-    }
-    ++stats_.misses;
-    ++stats_.forwards;
-    ++stats_.batches;
-    // A batch of one on shard 0's executor: the cache must hold
-    // predictions from one execution mode only, whichever precision
-    // is being served.
-    std::vector<Miss> one(1);
-    one[0].id = id;
-    one[0].block = block;
-    forwardMissBatch(shards_[0], one, 0, 1);
-    const double prediction = one[0].prediction;
-    if (id != isa::invalidBlockId)
-        cache_.put(id, prediction);
-    return prediction;
-}
-
 // ----------------------------------------------------------- batch core
 
 std::vector<AsyncEngine::Outcome>
@@ -505,9 +458,9 @@ AsyncEngine::serveBatchOn(
         }
         clk.lap(stage_.parse);
         // Resolve the parsed block to its interned canonical id —
-        // the key for the prediction and pre-encoded caches. A
-        // near-miss spelling of a known block lands on its existing
-        // id here, with no canonical string ever built.
+        // the key for the prediction cache. A near-miss spelling of
+        // a known block lands on its existing id here, with no
+        // canonical string ever built.
         bool known = false;
         const isa::BlockId id = interner_.internBlock(block, known);
         if (known)
@@ -586,8 +539,7 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
     nn::BatchedForward &bf = *sh.batched;
     const std::vector<nn::Tensor> &columns = snapshot_->inputColumns();
     const size_t count = hi - lo;
-    std::vector<std::shared_ptr<const surrogate::EncodedBlock>>
-        encoded;
+    std::vector<surrogate::EncodedBlock> encoded;
     std::vector<const surrogate::EncodedBlock *> blocks;
     std::vector<const std::vector<isa::InstId> *> inst_ids;
     std::vector<std::vector<const nn::Tensor *>> inst_params;
@@ -596,39 +548,27 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
     inst_ids.reserve(count);
     for (size_t m = lo; m < hi; ++m) {
         const Miss &miss = misses[m];
-        // Per-miss encoded-lane acquisition span; executors record
-        // concurrently (record() is wait-free).
+        // Per-miss token-lane span; executors record concurrently
+        // (record() is wait-free).
         obs::StageTimer encode_span(stage_.encode);
         if (miss.id != isa::invalidBlockId) {
-            // Pre-encoded cache: the token lanes of an interned
-            // block are immutable, so a hit skips the vocabulary
-            // encoding entirely. On a miss the lanes come from the
+            // The lanes of an interned block come from the
             // interner's per-instruction token storage (exactly
             // encodeBlock's output — intern.hh stores the canonical
             // encoding at intern time).
             inst_ids.push_back(&interner_.instIds(miss.id));
-            if (auto hit = encodedCache_.get(miss.id)) {
-                ++stats_.encodeHits;
-                encoded.push_back(std::move(*hit));
-            } else {
-                auto lanes =
-                    std::make_shared<surrogate::EncodedBlock>();
-                lanes->reserve(inst_ids.back()->size());
-                for (isa::InstId inst : *inst_ids.back())
-                    lanes->push_back(interner_.tokens(inst));
-                encodedCache_.put(miss.id, lanes);
-                encoded.push_back(std::move(lanes));
-            }
+            surrogate::EncodedBlock &lanes = encoded.emplace_back();
+            lanes.reserve(inst_ids.back()->size());
+            for (isa::InstId inst : *inst_ids.back())
+                lanes.push_back(interner_.tokens(inst));
         } else {
-            // Interner full: encode from scratch, cache nothing.
+            // Interner full: encode from the parsed block.
             inst_ids.push_back(nullptr);
-            encoded.push_back(
-                std::make_shared<surrogate::EncodedBlock>(
-                    surrogate::encodeBlock(miss.block)));
+            encoded.push_back(surrogate::encodeBlock(miss.block));
         }
     }
-    for (const auto &e : encoded)
-        blocks.push_back(e.get());
+    for (const surrogate::EncodedBlock &lanes : encoded)
+        blocks.push_back(&lanes);
     if (!columns.empty()) {
         inst_params.reserve(count);
         for (size_t m = lo; m < hi; ++m) {
@@ -643,7 +583,7 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
     artifact_.model->predictBatch(bf, blocks, inst_params, heads,
                                   &sh.instCache, &inst_ids);
     // Same expression as Graph::exp (the sequential path's final
-    // node), so the kF64 batched prediction is bit-identical to
+    // node), so the batched prediction is bit-identical to
     // forwardEncoded's.
     for (size_t m = lo; m < hi; ++m)
         misses[m].prediction =
@@ -698,7 +638,7 @@ AsyncEngine::ensureDispatchersLocked()
     for (int w = 0; w < workers_; ++w) {
         pool_.push_back(std::make_unique<DispatchWorker>());
         pool_.back()->shard.batched =
-            std::make_unique<nn::BatchedForward>(snapshot_, precision_);
+            std::make_unique<nn::BatchedForward>(snapshot_);
     }
     for (size_t w = 0; w < pool_.size(); ++w)
         pool_[w]->thread =

@@ -9,11 +9,11 @@
  * contract and migration notes):
  *
  *  - **Shared frozen weights.** All W shard executors borrow one
- *    nn::WeightSnapshot (weights, lazily-converted f32 panels,
- *    input-projection tables, per-opcode parameter-input columns)
- *    instead of holding per-shard copies, so per-engine weight
- *    allocations no longer scale with the worker count — and
- *    engines built from the same io::ModelSnapshot share too.
+ *    nn::WeightSnapshot (weights, packed panels, input-projection
+ *    tables, per-opcode parameter-input columns) instead of holding
+ *    per-shard copies, so per-engine weight allocations do not
+ *    scale with the worker count — and engines built from the same
+ *    io::ModelSnapshot share too.
  *
  *  - **Thread safety.** Any number of client threads may call any
  *    combination of submit / submitAll / predict / predictAll
@@ -33,22 +33,21 @@
  *    without client-side batching or a coalescing delay, and
  *    batches on different dispatchers overlap on multi-core boxes.
  *
- * The front end behind predict is a three-level cache key hierarchy
- * (docs/FRONTEND.md): raw text -> interned canonical BlockId ->
- * encoded token lanes. A miss in the raw-text front cache parses
- * once, resolves to a dense BlockId in the engine's append-only
- * isa::Interner, and probes the prediction and pre-encoded caches by
- * that id — no canonical-text string is built on the hot path.
+ * The front end behind predict is a two-level cache key hierarchy
+ * (docs/FRONTEND.md): raw text -> interned canonical BlockId. A
+ * miss in the raw-text front cache parses once, resolves to a dense
+ * BlockId in the engine's append-only isa::Interner, and probes the
+ * prediction cache by that id — no canonical-text string is built on
+ * the hot path. A forward pass reads its token lanes from the
+ * interner's per-instruction token storage.
  *
  * # Determinism contract (unchanged from v1)
  *
  * A prediction is a pure function of the canonical block text and
  * the frozen checkpoint. Batching, arrival order, micro-batch
  * composition, worker count, cache state and client thread count
- * can therefore never change a result: in kF64 every answer is
- * bit-identical to the sequential reference path, and kF32 answers
- * are identical across all of the above (accuracy-gated < 1e-5
- * against f64, never bit-gated).
+ * can therefore never change a result: every answer is
+ * bit-identical to the sequential reference path.
  *
  * # Shutdown
  *
@@ -95,21 +94,10 @@ struct AsyncConfig
      */
     int workers = 0;
     size_t cacheCapacity = 8192; ///< LRU entries (each cache)
-    /** Serving arithmetic (see nn/batched.hh; kF32 is opt-in). */
-    nn::Precision precision = nn::Precision::kF64;
     /** Micro-batcher: max queued requests in one dispatcher batch. */
     size_t maxBatch = 64;
     /** Lock stripes per LRU cache (<= 0: library default). */
     int cacheStripes = 0;
-    /**
-     * Pre-encoded block cache entries (0: 4x cacheCapacity). Sized
-     * larger than the prediction LRU on purpose: an encoded entry
-     * is ~100 bytes and saves a full tokenizer-encoding pass, so
-     * encodings should outlive the predictions they back — a block
-     * whose prediction was evicted then forwards again straight
-     * from its cached lanes.
-     */
-    size_t encodedCapacity = 0;
     /**
      * Interned canonical blocks bound (0: library default, 64Ki;
      * the instruction table gets 2x this). The interner is
@@ -161,8 +149,8 @@ struct AsyncConfig
  *
  *   requests == text_hits + text_misses == hits + misses
  *
- * with intern_hits/encode_hits (and forwards/batches) outside that
- * invariant, as documented per field. The mirror reads this struct
+ * with intern_hits (and forwards/batches) outside that invariant,
+ * as documented per field. The mirror reads this struct
  * directly (no second copy to drift); the engine unlinks it at
  * destruction. See docs/OBSERVABILITY.md.
  */
@@ -184,12 +172,6 @@ struct ServeStats
      * still go on to a prediction-cache hit or a forward pass.
      */
     std::atomic<uint64_t> internHits{0};
-    /**
-     * Forward-pass blocks whose encoded token lanes came from the
-     * pre-encoded cache instead of re-running the tokenizer →
-     * vocabulary encoding. At most one per entry of forwards.
-     */
-    std::atomic<uint64_t> encodeHits{0};
 };
 
 /**
@@ -269,13 +251,10 @@ class AsyncEngine
     std::vector<double>
     predictAll(const std::vector<std::string> &block_texts);
 
-    /** Predict one already-parsed block (cached like predict()). */
-    double predictBlock(const isa::BasicBlock &block);
-
     /**
      * The uncached, unbatched reference path: parse + encode + one
-     * fresh double-precision graph per call. The ground truth every
-     * kF64 answer must match bit-exactly.
+     * fresh graph per call. The ground truth every answer must match
+     * bit-exactly.
      */
     double predictUncached(const std::string &block_text) const;
 
@@ -309,7 +288,6 @@ class AsyncEngine
         return snapshot_;
     }
     int workers() const { return workers_; }
-    nn::Precision precision() const { return precision_; }
     const AsyncConfig &config() const { return config_; }
     /** The engine's interned canonical tables (sizes/footprint). */
     const isa::Interner &interner() const { return interner_; }
@@ -322,8 +300,8 @@ class AsyncEngine
 
     /**
      * Bytes of weight-derived state this engine shares through its
-     * snapshot: the f32 panels and projection tables (one copy per
-     * *shard* before v2) plus the per-opcode input columns (one
+     * snapshot: the packed panels and projection tables (one copy
+     * per *shard* before v2) plus the per-opcode input columns (one
      * copy per *engine* before v2). Constant in workers() by
      * construction, and shared further across engines built from
      * one io::ModelSnapshot.
@@ -422,7 +400,6 @@ class AsyncEngine
     io::ModelSnapshot artifact_;
     std::shared_ptr<const nn::WeightSnapshot> snapshot_;
     int workers_;
-    nn::Precision precision_;
     AsyncConfig config_;
 
     /** Synchronous-path executors (guarded by batchMutex_). */
@@ -447,15 +424,6 @@ class AsyncEngine
     ShardedLruCache<std::string, double> textCache_;
     /** Main cache: interned canonical block -> prediction. */
     ShardedLruCache<isa::BlockId, double> cache_;
-    /**
-     * Pre-encoded block cache: interned canonical block -> encoded
-     * token lanes, so a forward pass for a known block skips the
-     * vocabulary encoding (shared_ptr values: a hit borrows the
-     * entry even if a racing put evicts it).
-     */
-    ShardedLruCache<isa::BlockId,
-                    std::shared_ptr<const surrogate::EncodedBlock>>
-        encodedCache_;
     ServeStats stats_;
 
     /**
@@ -472,7 +440,7 @@ class AsyncEngine
         obs::LatencyHistogram *parse = nullptr;     ///< tokenize+parse
         obs::LatencyHistogram *intern = nullptr;    ///< canonical id
         obs::LatencyHistogram *predCache = nullptr; ///< BlockId probe
-        obs::LatencyHistogram *encode = nullptr;    ///< lane lookup
+        obs::LatencyHistogram *encode = nullptr;    ///< lane build
         obs::LatencyHistogram *forward = nullptr;   ///< LSTM batch
         obs::LatencyHistogram *queueWait = nullptr; ///< submit->pop
         obs::LatencyHistogram *batchSize = nullptr; ///< reqs/batch

@@ -14,7 +14,6 @@ PredictionEngine::toAsyncConfig(const ServeConfig &config)
     AsyncConfig async;
     async.workers = config.workers;
     async.cacheCapacity = config.cacheCapacity;
-    async.precision = config.precision;
     return async;
 }
 

@@ -5,12 +5,12 @@
  * and docs/SERVING.md).
  *
  * PredictionEngine keeps its original surface — predict /
- * predictAll / predictBlock / predictUncached, ServeConfig,
- * ServeStats — but every call delegates to an owned AsyncEngine's
- * synchronous path, so v1 callers transparently gain the v2
- * internals: one frozen nn::WeightSnapshot shared by all shard
- * executors (per-engine weight allocations no longer scale with the
- * worker count), sharded-mutex LRU caches, and atomic counters.
+ * predictAll / predictUncached, ServeConfig, ServeStats — but every
+ * call delegates to an owned AsyncEngine's synchronous path, so v1
+ * callers transparently gain the v2 internals: one frozen
+ * nn::WeightSnapshot shared by all shard executors (per-engine
+ * weight allocations no longer scale with the worker count),
+ * sharded-mutex LRU caches, and atomic counters.
  * Unlike v1, the wrapper is also thread-safe — "synchronous and
  * single-caller" is no longer a restriction, just a usage style.
  * Two signatures shifted with the internals (see docs/SERVING.md):
@@ -19,10 +19,9 @@
  * optional (null when absent).
  *
  * Determinism contract (unchanged): a prediction is a pure function
- * of the canonical block text and the frozen checkpoint. kF64 is
- * bit-identical to the uncached reference; kF32 is accuracy-gated
- * < 1e-5 (see nn/batched.hh). Results never depend on batching,
- * order, worker count or cache state.
+ * of the canonical block text and the frozen checkpoint, and
+ * bit-identical to the uncached reference. Results never depend on
+ * batching, order, worker count or cache state.
  *
  * Migration: new code should construct AsyncEngine directly (it
  * adds submit/submitAll futures and the micro-batcher). Existing
@@ -44,8 +43,6 @@ struct ServeConfig
 {
     int workers = 0;             ///< shard count (<= 0: library default)
     size_t cacheCapacity = 8192; ///< LRU entries (each cache)
-    /** Serving arithmetic (see nn/batched.hh; kF32 is opt-in). */
-    nn::Precision precision = nn::Precision::kF64;
 };
 
 /** Loads a checkpoint once; serves block-timing queries. */
@@ -82,13 +79,6 @@ class PredictionEngine
         return engine_->predictAll(block_texts);
     }
 
-    /** Predict one already-parsed block (cached like predict()). */
-    double
-    predictBlock(const isa::BasicBlock &block)
-    {
-        return engine_->predictBlock(block);
-    }
-
     /**
      * The uncached, unbatched reference path: parse + encode + one
      * fresh graph per call. Serves as the bench baseline and as the
@@ -107,7 +97,6 @@ class PredictionEngine
         return engine_->table();
     }
     int workers() const { return engine_->workers(); }
-    nn::Precision precision() const { return engine_->precision(); }
 
     /** The wrapped v2 engine (submit/submitAll, snapshot, knobs). */
     AsyncEngine &async() { return *engine_; }

@@ -39,15 +39,14 @@ struct ThroughputComparison
 {
     double naiveSeconds = 0.0;  ///< predictUncached per request
     double engineSeconds = 0.0; ///< wave-batched predictAll
-    double maxRelErr = 0.0;     ///< worst per-request |e-n|/|n|
 
     double speedup() const { return naiveSeconds / engineSeconds; }
 };
 
 /**
  * One timed pass of the naive reference path (parse + encode + one
- * fresh double-precision graph per request) with its per-request
- * predictions, reusable across several engine comparisons.
+ * fresh graph per request) with its per-request predictions,
+ * reusable across several engine comparisons.
  */
 struct NaiveRun
 {
@@ -61,17 +60,14 @@ NaiveRun runNaive(const PredictionEngine &engine,
 
 /**
  * Run @p workload through the batched engine in waves of @p wave
- * requests (as a serving endpoint would) and compare every
- * prediction against @p naive. rel_tol 0 demands bit-exact
- * agreement (the kF64 contract); a positive rel_tol bounds the
- * relative error instead (the kF32 accuracy gate). Fatal on any
- * violation. The engine's caches are expected cold on entry.
+ * requests (as a serving endpoint would) and require every
+ * prediction to match @p naive bit-exactly (fatal otherwise). The
+ * engine's caches are expected cold on entry.
  */
 ThroughputComparison
 engineVsNaive(PredictionEngine &engine,
               const std::vector<std::string> &workload,
-              const NaiveRun &naive, size_t wave = 250,
-              double rel_tol = 0.0);
+              const NaiveRun &naive, size_t wave = 250);
 
 /**
  * runNaive + engineVsNaive in one call (the naive pass runs first,
@@ -80,7 +76,7 @@ engineVsNaive(PredictionEngine &engine,
 ThroughputComparison
 compareThroughput(PredictionEngine &engine,
                   const std::vector<std::string> &workload,
-                  size_t wave = 250, double rel_tol = 0.0);
+                  size_t wave = 250);
 
 /**
  * Request-latency percentiles of an async client run (seconds).
@@ -130,14 +126,13 @@ struct AsyncClientComparison
  * future (at most @p threads requests in flight, as with real
  * users). Each pass runs on a fresh engine built from @p artifact —
  * the engines share @p artifact's WeightSnapshot, so the comparison
- * also exercises cross-engine weight sharing. When @p reference is
- * non-null every prediction of both passes is checked bit-exact
- * against it (the kF64 contract; pass null for kF32).
+ * also exercises cross-engine weight sharing. Every prediction of
+ * both passes is checked bit-exact against @p reference.
  */
 AsyncClientComparison
 compareAsyncClients(const io::ModelSnapshot &artifact,
                     const std::vector<std::string> &workload,
-                    int threads, const NaiveRun *reference,
+                    int threads, const NaiveRun &reference,
                     const AsyncConfig &config = {});
 
 /**

@@ -6,7 +6,7 @@
  * interning layer (canonical identity, near-miss resolution,
  * capacity fallback, concurrent interning — the TSan target), the
  * runtime matvec dispatch (scalar vs AVX2 bitwise equality, path
- * selection), and the serving front end's intern/encode counters.
+ * selection), and the serving front end's intern counters.
  */
 
 #include <gtest/gtest.h>
@@ -531,7 +531,6 @@ TEST(FrontendDispatch, SelectionMatchesEnvironmentAndCpu)
         force && *force && std::strcmp(force, "0") != 0;
     const nn::MatvecKernels &selected = nn::matvecKernels();
     ASSERT_NE(nullptr, selected.panelF64);
-    ASSERT_NE(nullptr, selected.f32);
     ASSERT_NE(nullptr, selected.rankOneF64);
     ASSERT_NE(nullptr, selected.transposedF64);
     if (forced)
@@ -560,10 +559,9 @@ TEST(FrontendDispatch, Avx2MatvecBitIdenticalToScalar)
 
     std::mt19937_64 rng(0xb17e5);
     std::normal_distribution<double> dist(0.0, 3.0);
-    // Cover every row/col remainder class of every kernel (f64
-    // forward: 16-row groups of 4-row panel blocks plus tail rows;
-    // f32 forward: 8x8 blocks; W^T dz: 16- and 4-column tiles plus
-    // tail columns), plus larger shapes.
+    // Cover every row/col remainder class of every kernel (forward:
+    // 16-row groups of 4-row panel blocks plus tail rows; W^T dz:
+    // 16- and 4-column tiles plus tail columns), plus larger shapes.
     const int rows_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 23, 40};
     const int cols_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 17, 31, 33, 50, 64};
     for (int rows : rows_set) {
@@ -597,17 +595,6 @@ TEST(FrontendDispatch, Avx2MatvecBitIdenticalToScalar)
             avx2->panelF64(panel.data(), x.data(), got.data(), rows,
                            cols);
             EXPECT_TRUE(sameBits(ref, got)) << "avx2 panel " << shape;
-
-            // Forward f32.
-            std::vector<float> wf(w.begin(), w.end());
-            std::vector<float> xf(x.begin(), x.end());
-            std::vector<float> reff(size_t(rows), 0.0f);
-            std::vector<float> gotf(size_t(rows), 0.0f);
-            scalar.f32(wf.data(), xf.data(), reff.data(), rows,
-                       cols);
-            avx2->f32(wf.data(), xf.data(), gotf.data(), rows,
-                      cols);
-            EXPECT_TRUE(sameBits(reff, gotf)) << "f32 " << shape;
 
             // Backward: dz holds exact zeros and -0.0 (both rows are
             // skipped), dx some -0.0 entries (kept -0.0 only while
@@ -669,16 +656,14 @@ ithemalCheckpoint()
 
 TEST(FrontendServe, InternAndEncodeCountersTrack)
 {
-    // Single worker, one stripe, tiny prediction/text LRUs but a
-    // roomy pre-encoded cache: re-requesting an evicted block must
-    // re-forward from its cached token lanes (encode hit), and a
-    // respelled known block must resolve through the interner
-    // (intern hit) into the prediction LRU.
+    // Single worker, one stripe, tiny prediction/text LRUs: an
+    // evicted block and a respelled known block must both resolve
+    // through the interner (intern hits) — the first into a fresh
+    // forward pass, the second into the prediction LRU.
     serve::AsyncConfig cfg;
     cfg.workers = 1;
     cfg.cacheStripes = 1;
     cfg.cacheCapacity = 4;
-    cfg.encodedCapacity = 64;
     serve::AsyncEngine engine(ithemalCheckpoint(), cfg);
     const serve::ServeStats &stats = engine.stats();
 
@@ -692,15 +677,13 @@ TEST(FrontendServe, InternAndEncodeCountersTrack)
     EXPECT_EQ(8u, stats.misses.load());
     EXPECT_EQ(8u, stats.forwards.load());
     EXPECT_EQ(0u, stats.internHits.load());
-    EXPECT_EQ(0u, stats.encodeHits.load());
     EXPECT_EQ(8u, engine.interner().numBlocks());
 
     // texts[0] fell out of every capacity-4 LRU, but its canonical
-    // form is interned and its token lanes are still cached: the
-    // re-request re-forwards without re-encoding.
+    // form is interned: the re-request re-forwards under its
+    // existing id.
     EXPECT_EQ(first[0], engine.predict(texts[0]));
     EXPECT_EQ(1u, stats.internHits.load());
-    EXPECT_EQ(1u, stats.encodeHits.load());
     EXPECT_EQ(9u, stats.forwards.load());
 
     // texts[7] is still in the raw-text front cache: no parse, no
@@ -725,8 +708,8 @@ TEST(FrontendServe, InternAndEncodeCountersTrack)
     EXPECT_EQ(stats.requests.load(),
               stats.hits.load() + stats.misses.load());
 
-    // And every cached/interned/encoded answer is bit-identical to
-    // the uncached sequential reference.
+    // And every cached/interned answer is bit-identical to the
+    // uncached sequential reference.
     for (size_t i = 0; i < texts.size(); ++i)
         EXPECT_EQ(engine.predictUncached(texts[i]), first[i]) << i;
 }
