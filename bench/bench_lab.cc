@@ -1,27 +1,20 @@
 /**
  * @file
- * Traffic-lab benchmark: deterministic trace generation, the cache-
- * policy sweep, and engine replay throughput.
+ * Traffic-lab benchmark: deterministic trace generation and engine
+ * replay throughput.
  *
- * Three sections (docs/TRAFFIC_LAB.md):
+ * Two sections (docs/TRAFFIC_LAB.md):
  *
  *  1. Trace generation — how fast lab::TraceWorkload materializes a
  *     Zipf-skewed bursty request stream, plus a serialize ->
  *     deserialize -> serialize round trip that must be byte-exact
  *     (the replayability contract; always enforced).
  *
- *  2. Policy sweep — lab::CacheSim replays the identical key stream
- *     against every registered policy. On a skewed trace
- *     (zipf s >= 1.0) the segmented and admission policies must not
- *     lose to plain LRU on hit rate; the sweep is fully
- *     deterministic, so the floor is enforced in every mode, not
- *     just --smoke.
- *
- *  3. Engine replay — the same trace served end-to-end through
- *     serve::AsyncEngine with 1 and with N dispatchers
- *     (AsyncConfig::workers). Predictions must be bit-identical
- *     across dispatcher counts (always enforced); throughput is
- *     reported, not floored.
+ *  2. Engine replay — the same trace served end-to-end through
+ *     serve::AsyncEngine's LRU caches at capacity 32, with 1 and
+ *     with N dispatchers (AsyncConfig::workers). Predictions must be
+ *     bit-identical across dispatcher counts (always enforced);
+ *     throughput is reported, not floored.
  */
 
 #include <algorithm>
@@ -37,10 +30,7 @@
 #include "core/experiment.hh"
 #include "hw/default_table.hh"
 #include "isa/intern.hh"
-#include "lab/cache_sim.hh"
-#include "lab/policy.hh"
 #include "lab/trace.hh"
-#include "obs/metrics.hh"
 #include "serve/async_engine.hh"
 #include "surrogate/model.hh"
 
@@ -66,8 +56,7 @@ main(int argc, char **argv)
     setVerbose(false);
     bool floors_ok = true;
     const int rc = bench::runBench(
-        "bench_lab: trace generation, cache-policy sweep, and "
-        "engine replay",
+        "bench_lab: trace generation and engine replay",
         "serving-traffic extension (train once, serve many; Renda "
         "et al. 2021)",
         [&] {
@@ -122,36 +111,7 @@ main(int argc, char **argv)
                 floors_ok = false;
             }
 
-            // ---- 2. Policy sweep (deterministic; floor always on).
-            constexpr size_t sweepCapacity = 64;
-            obs::MetricRegistry scratch;
-            const std::vector<lab::SimResult> sweep =
-                lab::sweepPolicies(trace, sweepCapacity, scratch);
-            std::cout << "policy sweep, capacity " << sweepCapacity
-                      << ":\n"
-                      << lab::simTableHeader() << "\n";
-            double lru_rate = 0.0;
-            for (const lab::SimResult &result : sweep) {
-                std::cout << result.row() << "\n";
-                if (result.policy == "lru")
-                    lru_rate = result.hitRate;
-            }
-            std::cout << "\n";
-            for (const lab::SimResult &result : sweep) {
-                if (result.policy == "lru")
-                    continue;
-                if (result.hitRate < lru_rate) {
-                    std::fprintf(
-                        stderr,
-                        "FAIL: policy %s hit rate %.4f is under "
-                        "plain LRU's %.4f on a zipf %.1f trace\n",
-                        result.policy.c_str(), result.hitRate,
-                        lru_rate, tcfg.zipfSkew);
-                    floors_ok = false;
-                }
-            }
-
-            // ---- 3. Engine replay. A small cache keeps miss
+            // ---- 2. Engine replay. A small cache keeps miss
             // traffic flowing (dispatcher parallelism only matters
             // on the forward path; front-cache hits resolve inline
             // in the submitting thread either way).
@@ -179,7 +139,6 @@ main(int argc, char **argv)
                                     std::vector<uint64_t> &bits) {
                 serve::AsyncConfig acfg;
                 acfg.workers = workers;
-                acfg.cachePolicy = lab::policyFactory("slru");
                 acfg.cacheCapacity = 32;
                 serve::AsyncEngine engine(artifact, acfg);
                 std::vector<std::future<double>> futures;
@@ -207,7 +166,7 @@ main(int argc, char **argv)
             pt.addRow({"1 dispatcher",
                        fmtDouble(double(texts.size()) / single_s, 0) +
                            " req/s",
-                       "slru policy, capacity 32"});
+                       "LRU, capacity 32"});
             pt.addRow({std::to_string(pool) + " dispatchers",
                        fmtDouble(double(texts.size()) / pool_s, 0) +
                            " req/s",

@@ -1,7 +1,7 @@
 /**
  * @file
  * Serving-layer benchmark: checkpoint cold-load latency plus the
- * throughput of the batched PredictionEngine against the naive
+ * throughput of the batched serve::AsyncEngine against the naive
  * one-fresh-graph-per-block path, on a skewed request stream (a small
  * working set dominates, as in real serving traffic; see
  * serve/workload.hh for the shared experiment definition).
@@ -129,7 +129,7 @@ main(int argc, char **argv)
             const auto load_begin = std::chrono::steady_clock::now();
             const io::ModelSnapshot artifact =
                 io::loadModelSnapshot(path);
-            serve::PredictionEngine engine(artifact);
+            serve::AsyncEngine engine(artifact);
             const auto load_end = std::chrono::steady_clock::now();
 
             TextTable io_table({"Checkpoint", "Value"});
@@ -264,7 +264,7 @@ main(int argc, char **argv)
                     lanes += surrogate::encodeBlock(block).size();
             });
 
-            serve::PredictionEngine fe_engine(artifact);
+            serve::AsyncEngine fe_engine(artifact);
             std::vector<double> fe_cold_preds;
             fe_cold_preds.reserve(fe_n);
             obs::LatencyHistogram fe_cold_hist;
@@ -361,8 +361,7 @@ main(int argc, char **argv)
             // noisy shared runner, where any single pair is not.
             // Skipped entirely when DIFFTUNE_OBS_OFF already
             // disabled telemetry.
-            const std::string obs_prefix =
-                engine.async().metricPrefix();
+            const std::string obs_prefix = engine.metricPrefix();
             if (!obs_prefix.empty()) {
                 const auto respell = [](const std::string &text,
                                         const std::string &gap) {
@@ -400,9 +399,9 @@ main(int argc, char **argv)
                         pass_texts.back().push_back(
                             respell(text, gap));
                 }
-                serve::PredictionEngine on_engine(artifact);
+                serve::AsyncEngine on_engine(artifact);
                 obs::setEnabled(false);
-                serve::PredictionEngine off_engine(artifact);
+                serve::AsyncEngine off_engine(artifact);
                 obs::setEnabled(true);
                 for (const std::string &text : fe_texts) {
                     on_engine.predict(text); // cold fill
@@ -540,8 +539,7 @@ main(int argc, char **argv)
             // columns are each resident exactly once. The pre-v2
             // figure is the first engine alone with a copy of the
             // panels and projections per shard.
-            const nn::WeightSnapshot &snapshot =
-                engine.async().snapshot();
+            const nn::WeightSnapshot &snapshot = engine.snapshot();
             const size_t pre_v2 =
                 size_t(engine.workers()) *
                     (snapshot.panelBytes() + snapshot.projBytes()) +

@@ -9,8 +9,7 @@
  *       Deterministically generate a trace and save its compact
  *       serialized form (same knobs -> byte-identical file).
  *   difftune_lab replay <trace>
- *       (--ckpt PATH [--policy lru|slru|tinylfu] [--workers N]
- *        [--capacity N] [--check]
+ *       (--ckpt PATH [--workers N] [--capacity N] [--check]
  *        | --daemon PORT [--host H] [--model NAME])
  *       Replay the trace's request stream (respellings and all)
  *       against a local AsyncEngine or a running difftuned daemon,
@@ -19,10 +18,6 @@
  *       the same bits every time it appears; --check additionally
  *       verifies every reply bit-exact against the engine's
  *       uncached reference path (the determinism contract).
- *   difftune_lab sweep <trace> [--capacity N]
- *       Replay the trace's key stream through lab::CacheSim for
- *       every registered cache policy and print the hit-rate /
- *       eviction / probe-latency table.
  *
  * Exit codes: 0 success, 1 a replay check failed (bits diverged),
  * 3 operational error (bad usage, unreadable file, connection
@@ -42,10 +37,7 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "lab/cache_sim.hh"
-#include "lab/policy.hh"
 #include "lab/trace.hh"
-#include "obs/metrics.hh"
 #include "serve/async_engine.hh"
 #include "serve/daemon.hh"
 
@@ -146,12 +138,11 @@ int
 cmdReplay(int argc, char **argv)
 {
     fatal_if(argc < 3,
-             "usage: replay <trace> (--ckpt PATH [--policy P] "
-             "[--workers N] [--capacity N] [--check] | "
+             "usage: replay <trace> (--ckpt PATH [--workers N] "
+             "[--capacity N] [--check] | "
              "--daemon PORT [--host H] [--model NAME])");
     const lab::TraceWorkload trace = lab::TraceWorkload::load(argv[2]);
     std::string ckpt, host = "127.0.0.1", model = "default";
-    std::string policy = "lru";
     int port = -1, workers = 0;
     size_t capacity = 8192;
     bool check = false;
@@ -165,8 +156,6 @@ cmdReplay(int argc, char **argv)
         const std::string value = argv[++i];
         if (arg == "--ckpt")
             ckpt = value;
-        else if (arg == "--policy")
-            policy = value;
         else if (arg == "--workers")
             workers = std::stoi(value);
         else if (arg == "--capacity")
@@ -197,7 +186,6 @@ cmdReplay(int argc, char **argv)
     if (port < 0) {
         serve::AsyncConfig cfg;
         cfg.workers = workers;
-        cfg.cachePolicy = lab::policyFactory(policy);
         cfg.cacheCapacity = capacity;
         engine = serve::AsyncEngine::loadFromFile(ckpt, cfg);
         std::vector<std::future<double>> futures;
@@ -222,9 +210,9 @@ cmdReplay(int argc, char **argv)
               << double(replies.size()) / seconds << " req/s)";
     if (engine) {
         const serve::ServeStats &stats = engine->stats();
-        std::cout << " — policy " << policy << ", workers "
-                  << engine->workers() << ", hits " << stats.hits.load()
-                  << ", misses " << stats.misses.load();
+        std::cout << " — workers " << engine->workers() << ", hits "
+                  << stats.hits.load() << ", misses "
+                  << stats.misses.load();
     }
     std::cout << "\n";
 
@@ -236,39 +224,13 @@ cmdReplay(int argc, char **argv)
     return auditReplies(replies, ref);
 }
 
-int
-cmdSweep(int argc, char **argv)
-{
-    fatal_if(argc < 3, "usage: sweep <trace> [--capacity N]");
-    const lab::TraceWorkload trace = lab::TraceWorkload::load(argv[2]);
-    size_t capacity = 64;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        fatal_if(i + 1 >= argc, "sweep: {} needs a value", arg);
-        const std::string value = argv[++i];
-        if (arg == "--capacity")
-            capacity = std::stoull(value);
-        else
-            fatal("sweep: unknown argument '{}'", arg);
-    }
-    obs::MetricRegistry registry;
-    std::cout << "sweep: " << trace.requests().size()
-              << " requests over " << trace.corpusTexts().size()
-              << " blocks, capacity " << capacity << "\n"
-              << lab::simTableHeader() << "\n";
-    for (const lab::SimResult &result :
-         lab::sweepPolicies(trace, capacity, registry))
-        std::cout << result.row() << "\n";
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     if (argc < 2) {
-        std::cerr << "usage: difftune_lab <gen|replay|sweep> ...\n";
+        std::cerr << "usage: difftune_lab <gen|replay> ...\n";
         return 3;
     }
     const std::string command = argv[1];
@@ -279,8 +241,6 @@ main(int argc, char **argv)
             return cmdGen(argc, argv);
         if (command == "replay")
             return cmdReplay(argc, argv);
-        if (command == "sweep")
-            return cmdSweep(argc, argv);
         std::cerr << "unknown command '" << command << "'\n";
         return 3;
     } catch (const std::exception &error) {

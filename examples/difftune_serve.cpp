@@ -210,16 +210,16 @@ cmdInfo(int argc, char **argv)
         // Serving footprint: what one engine (any worker count)
         // keeps resident through the shared WeightSnapshot.
         try {
-            serve::PredictionEngine probe(
+            serve::AsyncEngine probe(
                 io::makeModelSnapshot(std::move(ckpt)));
             probe.predict("NOP\n"); // materialize the projections
-            const auto &snapshot = probe.async().snapshot();
+            const auto &snapshot = probe.snapshot();
             std::cout << "  serving: " << snapshot.f64Bytes()
                       << " weight bytes in place, "
-                      << probe.async().sharedWeightBytes()
+                      << probe.sharedWeightBytes()
                       << " derived bytes shared across "
                       << probe.workers() << " workers\n";
-            const auto &interner = probe.async().interner();
+            const auto &interner = probe.interner();
             std::cout << "  front end: matvec kernel "
                       << nn::matvecPathName() << "; intern tables "
                       << interner.numInsts() << " insts / "
@@ -241,10 +241,10 @@ int
 cmdPredict(int argc, char **argv)
 {
     fatal_if(argc < 4, "usage: predict <ckpt> <block.s|->...");
-    auto engine = serve::PredictionEngine::fromFile(argv[2]);
+    const auto engine = serve::AsyncEngine::loadFromFile(argv[2]);
     std::cout.precision(17);
     for (int i = 3; i < argc; ++i)
-        std::cout << engine.predict(readFileOrStdin(argv[i])) << "\n";
+        std::cout << engine->predict(readFileOrStdin(argv[i])) << "\n";
     return 0;
 }
 
@@ -275,7 +275,7 @@ cmdBench(int argc, char **argv)
 
     const auto load_begin = std::chrono::steady_clock::now();
     const io::ModelSnapshot artifact = io::loadModelSnapshot(path);
-    serve::PredictionEngine engine(artifact);
+    serve::AsyncEngine engine(artifact);
     const auto load_end = std::chrono::steady_clock::now();
     const double load_ms =
         1e3 * serve::secondsBetween(load_begin, load_end);
@@ -312,16 +312,16 @@ cmdBench(int argc, char **argv)
               << stats.batches.load() << " batches\n"
               << "front end: matvec kernel " << nn::matvecPathName()
               << "; intern tables "
-              << engine.async().interner().numInsts() << " insts / "
-              << engine.async().interner().numBlocks() << " blocks, "
-              << engine.async().interner().bytes() << " bytes\n"
+              << engine.interner().numInsts() << " insts / "
+              << engine.interner().numBlocks() << " blocks, "
+              << engine.interner().bytes() << " bytes\n"
               << "shared snapshot: "
-              << engine.async().sharedWeightBytes()
+              << engine.sharedWeightBytes()
               << " derived bytes resident once (per-shard copies: "
-              << (engine.async().snapshot().panelBytes() +
-                  engine.async().snapshot().projBytes()) *
+              << (engine.snapshot().panelBytes() +
+                  engine.snapshot().projBytes()) *
                      size_t(engine.workers()) +
-                     engine.async().snapshot().inputColumnBytes()
+                     engine.snapshot().inputColumnBytes()
               << ")\n";
 
     if (threads > 0) {

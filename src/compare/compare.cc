@@ -15,8 +15,7 @@ namespace difftune::compare
 const char *
 diffClassName(DiffClass cls)
 {
-    switch (cls)
-    {
+    switch (cls) {
     case DiffClass::kBitExact:
         return "bit-exact";
     case DiffClass::kWithinTolerance:
@@ -37,8 +36,7 @@ DiffClass
 classifyPair(uint64_t bits_a, uint64_t bits_b, double tolerance,
              double *rel_error)
 {
-    if (bits_a == bits_b)
-    {
+    if (bits_a == bits_b) {
         if (rel_error)
             *rel_error = 0.0;
         return DiffClass::kBitExact;
@@ -86,8 +84,7 @@ distinctOpcodes(const std::string &text)
 {
     std::set<std::string> opcodes;
     size_t pos = 0;
-    while (pos < text.size())
-    {
+    while (pos < text.size()) {
         size_t eol = text.find('\n', pos);
         if (eol == std::string::npos)
             eol = text.size();
@@ -109,8 +106,7 @@ instructionCount(const std::string &text)
 {
     size_t count = 0;
     size_t pos = 0;
-    while (pos < text.size())
-    {
+    while (pos < text.size()) {
         size_t eol = text.find('\n', pos);
         if (eol == std::string::npos)
             eol = text.size();
@@ -155,8 +151,7 @@ compare(const PredsArtifact &a, const PredsArtifact &b,
 
     std::vector<bool> matchedB(b.blocks.size(), false);
     report.blocks.reserve(a.blocks.size() + b.blocks.size());
-    for (size_t i = 0; i < a.blocks.size(); ++i)
-    {
+    for (size_t i = 0; i < a.blocks.size(); ++i) {
         const BlockPreds &blockA = a.blocks[i];
         BlockDiff diff;
         diff.text = blockA.text;
@@ -165,8 +160,7 @@ compare(const PredsArtifact &a, const PredsArtifact &b,
         auto it = indexB.find(blockA.text);
         if (it == indexB.end())
             diff.cls = DiffClass::kOnlyInA;
-        else
-        {
+        else {
             matchedB[it->second] = true;
             diff.indexB = int64_t(it->second);
             diff.bitsB = b.blocks[it->second].bits;
@@ -176,8 +170,7 @@ compare(const PredsArtifact &a, const PredsArtifact &b,
         account(report, diff);
         report.blocks.push_back(std::move(diff));
     }
-    for (size_t i = 0; i < b.blocks.size(); ++i)
-    {
+    for (size_t i = 0; i < b.blocks.size(); ++i) {
         if (matchedB[i])
             continue;
         BlockDiff diff;
@@ -262,8 +255,7 @@ renderTable(const CompareReport &report)
     out += "\ntolerance: " + fmtRel(report.config.tolerance) + "\n";
 
     out += "summary: total " + std::to_string(report.counts.total());
-    for (int c = 0; c < numDiffClasses; ++c)
-    {
+    for (int c = 0; c < numDiffClasses; ++c) {
         const DiffClass cls = DiffClass(c);
         out += std::string(" ") + diffClassName(cls) + " " +
                std::to_string(report.counts[cls]);
@@ -271,8 +263,7 @@ renderTable(const CompareReport &report)
     out += "\nexit: " + std::to_string(report.exitCode()) + "\n\n";
 
     TextTable byOpcode(breakdownHeaders("opcode"));
-    for (const auto &[opcode, counts] : report.byOpcode)
-    {
+    for (const auto &[opcode, counts] : report.byOpcode) {
         std::vector<std::string> cells{opcode};
         for (std::string &cell : countCells(counts))
             cells.push_back(std::move(cell));
@@ -281,8 +272,7 @@ renderTable(const CompareReport &report)
     out += byOpcode.render() + "\n";
 
     TextTable byLength(breakdownHeaders("length"));
-    for (const auto &[length, counts] : report.byLength)
-    {
+    for (const auto &[length, counts] : report.byLength) {
         std::vector<std::string> cells{std::to_string(length)};
         for (std::string &cell : countCells(counts))
             cells.push_back(std::move(cell));
@@ -291,12 +281,10 @@ renderTable(const CompareReport &report)
     out += byLength.render();
 
     bool anyDiff = false;
-    for (const BlockDiff &diff : report.blocks)
-    {
+    for (const BlockDiff &diff : report.blocks) {
         if (diff.cls == DiffClass::kBitExact)
             continue;
-        if (!anyDiff)
-        {
+        if (!anyDiff) {
             out += "\n";
             anyDiff = true;
         }
@@ -318,10 +306,8 @@ std::string
 jsonString(const std::string &value)
 {
     std::string out = "\"";
-    for (char c : value)
-    {
-        switch (c)
-        {
+    for (char c : value) {
+        switch (c) {
         case '"':
             out += "\\\"";
             break;
@@ -335,13 +321,11 @@ jsonString(const std::string &value)
             out += "\\t";
             break;
         default:
-            if (static_cast<unsigned char>(c) < 0x20)
-            {
+            if (static_cast<unsigned char>(c) < 0x20) {
                 char buf[8];
                 std::snprintf(buf, sizeof(buf), "\\u%04x", c);
                 out += buf;
-            }
-            else
+            } else
                 out += c;
         }
     }
@@ -361,8 +345,7 @@ std::string
 jsonCounts(const ClassCounts &counts)
 {
     std::string out = "{";
-    for (int c = 0; c < numDiffClasses; ++c)
-    {
+    for (int c = 0; c < numDiffClasses; ++c) {
         if (c)
             out += ",";
         out += jsonString(diffClassName(DiffClass(c))) + ":" +
@@ -389,8 +372,7 @@ renderJson(const CompareReport &report)
 
     out += ",\"byOpcode\":{";
     bool first = true;
-    for (const auto &[opcode, counts] : report.byOpcode)
-    {
+    for (const auto &[opcode, counts] : report.byOpcode) {
         if (!first)
             out += ",";
         first = false;
@@ -398,8 +380,7 @@ renderJson(const CompareReport &report)
     }
     out += "},\"byLength\":{";
     first = true;
-    for (const auto &[length, counts] : report.byLength)
-    {
+    for (const auto &[length, counts] : report.byLength) {
         if (!first)
             out += ",";
         first = false;
@@ -408,8 +389,7 @@ renderJson(const CompareReport &report)
     }
     out += "},\"diffs\":[";
     first = true;
-    for (const BlockDiff &diff : report.blocks)
-    {
+    for (const BlockDiff &diff : report.blocks) {
         if (diff.cls == DiffClass::kBitExact)
             continue;
         if (!first)

@@ -75,14 +75,8 @@ struct ClassCounts
 {
     std::array<uint64_t, numDiffClasses> counts{};
 
-    uint64_t &operator[](DiffClass cls)
-    {
-        return counts[size_t(cls)];
-    }
-    uint64_t operator[](DiffClass cls) const
-    {
-        return counts[size_t(cls)];
-    }
+    uint64_t &operator[](DiffClass cls) { return counts[size_t(cls)]; }
+    uint64_t operator[](DiffClass cls) const { return counts[size_t(cls)]; }
 
     uint64_t total() const;
 };

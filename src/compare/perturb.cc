@@ -76,8 +76,7 @@ perturbOpcodeEmbedding(const std::string &in_path,
     // vocabulary token; opcode tokens are the first vocab rows
     // (TokenVocab::opcodeToken(op) == op).
     size_t embedding = params.count();
-    for (size_t i = 0; i < params.count(); ++i)
-    {
+    for (size_t i = 0; i < params.count(); ++i) {
         if (params[int(i)].rows != int(checkpoint.vocabSize))
             continue;
         if (embedding != params.count())

@@ -10,8 +10,8 @@
 #include "isa/instruction.hh"
 #include "isa/parse.hh"
 #include "nn/matvec_dispatch.hh"
+#include "serve/async_engine.hh"
 #include "serve/daemon.hh"
-#include "serve/engine.hh"
 
 namespace difftune::compare
 {
@@ -26,8 +26,7 @@ corpusDigest(const std::vector<std::string> &texts)
         h ^= byte;
         h *= 0x100000001b3ull;
     };
-    for (const std::string &text : texts)
-    {
+    for (const std::string &text : texts) {
         uint64_t n = text.size();
         for (int shift = 0; shift < 64; shift += 8)
             mix((n >> shift) & 0xff);
@@ -50,8 +49,7 @@ encodePreds(const PredsArtifact &artifact)
 
     io::ByteWriter blocks;
     blocks.u64(artifact.blocks.size());
-    for (const BlockPreds &block : artifact.blocks)
-    {
+    for (const BlockPreds &block : artifact.blocks) {
         blocks.str(block.text);
         blocks.u64(block.bits);
     }
@@ -90,8 +88,7 @@ decodePreds(std::string bytes, std::string source)
     artifact.blocks.reserve(count);
     std::unordered_set<std::string> seen;
     seen.reserve(count);
-    for (uint64_t i = 0; i < count; ++i)
-    {
+    for (uint64_t i = 0; i < count; ++i) {
         BlockPreds block;
         block.text = blocks.str();
         block.bits = blocks.u64();
@@ -170,12 +167,10 @@ fileCorpus(const std::string &path)
                   isa::toString(isa::parseBlock(pending)));
         pending.clear();
     };
-    while (std::getline(is, line))
-    {
+    while (std::getline(is, line)) {
         if (line.empty())
             flush();
-        else
-        {
+        else {
             pending += line;
             pending += '\n';
         }
@@ -193,20 +188,15 @@ resolveCorpus(const std::string &spec)
 {
     if (spec.rfind("file:", 0) == 0)
         return fileCorpus(spec.substr(5));
-    if (spec.rfind("gen:", 0) == 0)
-    {
+    if (spec.rfind("gen:", 0) == 0) {
         size_t colon = spec.find(':', 4);
-        if (colon != std::string::npos)
-        {
+        if (colon != std::string::npos) {
             size_t count = 0;
             uint64_t seed = 0;
-            try
-            {
+            try {
                 count = std::stoull(spec.substr(4, colon - 4));
                 seed = std::stoull(spec.substr(colon + 1), nullptr, 0);
-            }
-            catch (const std::exception &)
-            {
+            } catch (const std::exception &) {
                 fatal("bad corpus spec '{}' (want gen:<count>:<seed> "
                       "or file:<path>)",
                       spec);
@@ -226,22 +216,21 @@ snapshotCheckpoint(const std::string &checkpoint_path,
                    const std::vector<std::string> &texts,
                    SnapshotOptions options)
 {
-    serve::ServeConfig config;
+    serve::AsyncConfig config;
     config.workers = options.workers;
-    serve::PredictionEngine engine =
-        serve::PredictionEngine::fromFile(checkpoint_path, config);
+    const std::unique_ptr<serve::AsyncEngine> engine =
+        serve::AsyncEngine::loadFromFile(checkpoint_path, config);
 
     PredsArtifact artifact;
     artifact.engine.source = checkpoint_path;
     artifact.engine.precision = "f64";
     artifact.engine.kernel = nn::matvecPathName();
-    artifact.engine.workers = engine.workers();
+    artifact.engine.workers = engine->workers();
     artifact.corpusDigest = corpusDigest(texts);
 
-    std::vector<double> values = engine.predictAll(texts);
+    std::vector<double> values = engine->predictAll(texts);
     artifact.blocks.reserve(texts.size());
-    for (size_t i = 0; i < texts.size(); ++i)
-    {
+    for (size_t i = 0; i < texts.size(); ++i) {
         BlockPreds block;
         block.text = texts[i];
         block.bits = std::bit_cast<uint64_t>(values[i]);
@@ -264,8 +253,7 @@ snapshotDaemon(const std::string &host, uint16_t port,
     artifact.engine.workers = 0;
     artifact.corpusDigest = corpusDigest(texts);
     artifact.blocks.reserve(texts.size());
-    for (const std::string &text : texts)
-    {
+    for (const std::string &text : texts) {
         BlockPreds block;
         block.text = text;
         block.bits =

@@ -87,6 +87,10 @@ TraceWorkload
 TraceWorkload::generate(const TraceConfig &config)
 {
     fatal_if(config.models == 0, "trace: models must be >= 1");
+    // TraceRequest::model is one byte, in memory and on disk.
+    fatal_if(config.models > kMaxModels,
+             "trace: {} models, at most {} fit a request's model index",
+             config.models, kMaxModels);
     fatal_if(!config.modelWeights.empty() &&
                  config.modelWeights.size() != config.models,
              "trace: {} model weights for {} models",
@@ -247,10 +251,14 @@ TraceWorkload::deserialize(std::string_view data)
     r.expectEnd();
 
     trace.materializeCorpus();
-    for (const TraceRequest &req : trace.requests_)
+    for (const TraceRequest &req : trace.requests_) {
         fatal_if(req.block >= trace.corpus_.size(),
                  "trace block rank {} outside the {}-block corpus",
                  req.block, trace.corpus_.size());
+        fatal_if(req.model >= trace.config_.models,
+                 "trace model index {} outside the {}-model mix",
+                 req.model, trace.config_.models);
+    }
     return trace;
 }
 

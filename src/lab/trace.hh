@@ -14,8 +14,8 @@
  * so the same TraceConfig always yields the same trace, and a trace
  * serializes to a compact little-endian artifact (block *ranks*, not
  * texts — the corpus regenerates from its recorded seed) that
- * replays byte-identically: two cache policies, two engines, or an
- * engine and a daemon all see the exact same request sequence. See
+ * replays byte-identically: two engines, two dispatcher counts, or
+ * an engine and a daemon all see the exact same request sequence. See
  * docs/TRAFFIC_LAB.md for the file format.
  */
 
@@ -30,6 +30,9 @@
 namespace difftune::lab
 {
 
+/** Largest model mix a trace can index (TraceRequest::model). */
+constexpr uint32_t kMaxModels = 256;
+
 /** Knobs for TraceWorkload::generate (all defaults are sane). */
 struct TraceConfig
 {
@@ -41,7 +44,7 @@ struct TraceConfig
     /**
      * Zipf exponent s: popularity of the r-th most popular block is
      * proportional to 1 / r^s. 0 degenerates to uniform; >= 1.0 is
-     * the heavily skewed serving regime the cache sweep targets.
+     * the heavily skewed serving regime of perfbench's serve_hot.
      */
     double zipfSkew = 1.1;
 
@@ -56,7 +59,8 @@ struct TraceConfig
     double idleHz = 10000.0;   ///< rate of burst starts when idle
     double meanBurst = 64.0;   ///< mean requests per burst
 
-    /** Model-mix size (registry traffic); 1 = single model. */
+    /** Model-mix size (registry traffic); 1 = single model, at
+     *  most kMaxModels. */
     uint32_t models = 1;
 
     /** Optional mix weights (size == models; empty = uniform). */

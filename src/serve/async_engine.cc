@@ -36,6 +36,15 @@ cacheStripes(const AsyncConfig &config)
     return config.cacheStripes > 0 ? config.cacheStripes : 8;
 }
 
+/** The caches are built in the member-initializer list, so a zero
+ *  capacity must be rejected there, before a cache can panic. */
+size_t
+cacheCapacity(const AsyncConfig &config)
+{
+    fatal_if(config.cacheCapacity == 0, "cacheCapacity must be >= 1");
+    return config.cacheCapacity;
+}
+
 } // namespace
 
 AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
@@ -47,10 +56,8 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
                                           : size_t(1) << 17,
                 config.internCapacity > 0 ? config.internCapacity
                                           : size_t(1) << 16),
-      textCache_(config.cacheCapacity, cacheStripes(config),
-                 config.cachePolicy),
-      cache_(config.cacheCapacity, cacheStripes(config),
-             config.cachePolicy)
+      textCache_(cacheCapacity(config), cacheStripes(config)),
+      cache_(cacheCapacity(config), cacheStripes(config))
 {
     fatal_if(!artifact_.model || !artifact_.weights,
              "AsyncEngine needs a promoted ModelSnapshot "

@@ -3,10 +3,10 @@
  * Serving API v2: a thread-safe, asynchronously-batched prediction
  * engine over one shared frozen WeightSnapshot.
  *
- * AsyncEngine is the serving core; the v1 serve::PredictionEngine
- * survives as a thin synchronous wrapper over it (serve/engine.hh).
- * Three things changed versus v1 (see docs/SERVING.md for the full
- * contract and migration notes):
+ * AsyncEngine is the one serving API: the synchronous calls
+ * (predict / predictAll / predictUncached), the asynchronous
+ * submit / submitAll futures, and the daemon's registry all serve
+ * through it (see docs/SERVING.md for the full contract):
  *
  *  - **Shared frozen weights.** All W shard executors borrow one
  *    nn::WeightSnapshot (weights, packed panels, input-projection
@@ -19,7 +19,7 @@
  *    combination of submit / submitAll / predict / predictAll
  *    concurrently. Caches are sharded-mutex LRUs and stats are
  *    atomic. The synchronous calls share one executor set behind a
- *    batch mutex and parallelize over its shards, as in v1.
+ *    batch mutex and parallelize over its shards.
  *
  *  - **Async micro-batched submission.** submit(text) returns a
  *    std::future immediately. AsyncConfig::workers dispatchers
@@ -41,7 +41,7 @@
  * the hot path. A forward pass reads its token lanes from the
  * interner's per-instruction token storage.
  *
- * # Determinism contract (unchanged from v1)
+ * # Determinism contract
  *
  * A prediction is a pure function of the canonical block text and
  * the frozen checkpoint. Batching, arrival order, micro-batch
@@ -93,7 +93,7 @@ struct AsyncConfig
      * the shard count of the synchronous calls' executor set.
      */
     int workers = 0;
-    size_t cacheCapacity = 8192; ///< LRU entries (each cache)
+    size_t cacheCapacity = 8192; ///< LRU entries, each cache (>= 1)
     /** Micro-batcher: max queued requests in one dispatcher batch. */
     size_t maxBatch = 64;
     /** Lock stripes per LRU cache (<= 0: library default). */
@@ -124,13 +124,6 @@ struct AsyncConfig
      * construction (the DIFFTUNE_OBS_OFF kill switch).
      */
     obs::MetricRegistry *registry = nullptr;
-    /**
-     * Replacement/admission policy for the serving caches, built
-     * per stripe (null: classic LRU — decision-identical to the
-     * pre-lab engine). Policies are speed-only by the determinism
-     * contract; see lab/policy.hh and docs/TRAFFIC_LAB.md.
-     */
-    lab::PolicyFactory cachePolicy;
 };
 
 /**
@@ -212,8 +205,7 @@ class AsyncEngine
 
     /**
      * Load @p path once and serve it (errors name the path). The
-     * engine is immovable, so the factory hands back a unique_ptr;
-     * the v1 wrapper's fromFile delegates here.
+     * engine is immovable, so the factory hands back a unique_ptr.
      */
     static std::unique_ptr<AsyncEngine>
     loadFromFile(const std::string &path, AsyncConfig config = {});
@@ -236,7 +228,7 @@ class AsyncEngine
     /**
      * Queue a group; futures align with @p block_texts. The whole
      * group is enqueued atomically, striped over the dispatchers,
-     * so a group behaves like v1 predictAll submitted from another
+     * so a group behaves like predictAll submitted from another
      * thread.
      */
     std::vector<std::future<double>>

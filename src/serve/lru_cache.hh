@@ -2,8 +2,9 @@
  * @file
  * Minimal intrusive-order LRU cache: an std::list holds entries in
  * recency order and an unordered_map indexes list iterators, so get,
- * put and eviction are all O(1). Used by the prediction engine to
- * memoize per-block results keyed by canonicalized block text.
+ * put and eviction are all O(1). Not thread-safe: each stripe of a
+ * serve::ShardedLruCache is one LruCache behind that stripe's mutex,
+ * which is how the serving engine memoizes per-block results.
  */
 
 #ifndef DIFFTUNE_SERVE_LRU_CACHE_HH

@@ -1,22 +1,16 @@
 /**
  * @file
- * Thread-safe sharded-mutex wrapper over lab::PolicyCache.
+ * Thread-safe sharded-mutex wrapper over serve::LruCache.
  *
  * One global cache lock would serialize every request of a
  * concurrent serving engine on a single mutex; instead the key space
- * is striped over S independent policy-driven caches, each behind
- * its own mutex, so concurrent clients only contend when their keys
- * land in the same stripe. get() returns the value by copy — a
- * pointer into a stripe would dangle the moment another thread
- * touched it.
+ * is striped over S independent LRU caches, each behind its own
+ * mutex, so concurrent clients only contend when their keys land in
+ * the same stripe. get() returns the value by copy — a pointer into
+ * a stripe would dangle the moment another thread touched it.
  *
- * Since the traffic-lab PR each stripe is a lab::PolicyCache driven
- * by a pluggable lab::CachePolicy (LRU by default, byte-identical
- * decisions to the legacy LruCache; see docs/TRAFFIC_LAB.md), so an
- * AsyncEngine can be constructed with any replacement/admission
- * policy. Striping and policy choice change *eviction* behavior
- * versus one big LRU (each stripe decides independently, admission
- * filters may decline inserts), which by the serving engine's
+ * Striping changes *eviction* behavior versus one big LRU (each
+ * stripe evicts independently), which by the serving engine's
  * determinism contract may only affect speed: predictions are pure
  * per canonical block, so a cache can never change results, only
  * whether a forward pass is re-run.
@@ -31,11 +25,28 @@
 #include <optional>
 #include <vector>
 
-#include "lab/policy.hh"
-#include "lab/policy_cache.hh"
+#include "serve/lru_cache.hh"
 
 namespace difftune::serve
 {
+
+/**
+ * The full splitmix64 finalizer over an std::hash value. std::hash
+ * is identity for integers on common library implementations, so raw
+ * values of dense ids (isa::BlockId) would correlate with whatever
+ * bits a consumer reduces by; the two multiply-xorshift rounds
+ * decorrelate them.
+ */
+inline uint64_t
+finalizeHash(uint64_t h)
+{
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    return h;
+}
 
 template <typename Key, typename Value>
 class ShardedLruCache
@@ -45,23 +56,17 @@ class ShardedLruCache
      * @param capacity total entry budget, split evenly (rounded up)
      *        across stripes
      * @param stripes lock stripe count (>= 1)
-     * @param policy per-stripe policy factory (null: classic LRU)
      */
-    ShardedLruCache(size_t capacity, int stripes,
-                    lab::PolicyFactory policy = nullptr)
-        : capacity_(capacity)
+    ShardedLruCache(size_t capacity, int stripes) : capacity_(capacity)
     {
         panic_if(stripes < 1, "ShardedLruCache: {} stripes", stripes);
         panic_if(capacity == 0,
                  "ShardedLruCache: capacity must be positive");
-        if (!policy)
-            policy = [](size_t cap) { return lab::makeLruPolicy(cap); };
         const size_t per_stripe =
             (capacity + size_t(stripes) - 1) / size_t(stripes);
         stripes_.reserve(size_t(stripes));
         for (int i = 0; i < stripes; ++i)
-            stripes_.push_back(
-                std::make_unique<Stripe>(per_stripe, policy));
+            stripes_.push_back(std::make_unique<Stripe>(per_stripe));
     }
 
     /** Thread-safe lookup; a hit refreshes recency in its stripe. */
@@ -75,16 +80,14 @@ class ShardedLruCache
         return std::nullopt;
     }
 
-    /**
-     * Thread-safe insert/refresh. Returns false iff the stripe's
-     * admission policy declined the key (nothing was stored).
-     */
-    bool
+    /** Thread-safe insert/refresh, evicting the stripe's LRU entry
+     *  when the stripe is full. */
+    void
     put(Key key, Value value)
     {
         Stripe &stripe = stripeFor(key);
         std::lock_guard lock(stripe.mutex);
-        return stripe.cache.put(std::move(key), std::move(value));
+        stripe.cache.put(std::move(key), std::move(value));
     }
 
     /** Entries across all stripes (locks each in turn). */
@@ -97,25 +100,6 @@ class ShardedLruCache
             total += stripe->cache.size();
         }
         return total;
-    }
-
-    /** Hit/miss/eviction counters summed over stripes. */
-    lab::CacheCounters
-    counters() const
-    {
-        lab::CacheCounters total;
-        for (const auto &stripe : stripes_) {
-            std::lock_guard lock(stripe->mutex);
-            total += stripe->cache.counters();
-        }
-        return total;
-    }
-
-    /** The active policy's name ("lru" unless configured). */
-    const char *
-    policyName() const
-    {
-        return stripes_.front()->cache.policyName();
     }
 
     /**
@@ -148,31 +132,25 @@ class ShardedLruCache
     size_t
     stripeIndex(const Key &key) const
     {
-        // Finalize the hash (full splitmix64 finalizer) before
-        // reducing: std::hash is identity for integers on common
-        // implementations, so dense BlockId keys would otherwise
-        // land in stripes by `id % stripes` — balanced for
-        // sequential ids but perfectly correlated with the bits the
-        // per-stripe unordered_map reduces the same hash by, and
-        // pathological for any strided id population. The two
-        // multiply-xorshift rounds decorrelate both (measured: 10k
-        // sequential BlockIds over 8 stripes stay within 10% of
-        // fair share, worst stripe ~8.1% low; see
+        // Finalize the hash before reducing: dense BlockId keys
+        // would otherwise land in stripes by `id % stripes` —
+        // balanced for sequential ids but perfectly correlated with
+        // the bits the per-stripe unordered_map reduces the same
+        // hash by, and pathological for any strided id population
+        // (measured: 10k sequential BlockIds over 8 stripes stay
+        // within 10% of fair share, worst stripe ~8.1% low; see
         // ShardedLruCacheTest.StripeBalanceOnDenseBlockIds).
-        return size_t(lab::finalizeHash(uint64_t(hash_(key))) %
+        return size_t(finalizeHash(uint64_t(hash_(key))) %
                       stripes_.size());
     }
 
   private:
     struct Stripe
     {
-        Stripe(size_t capacity, const lab::PolicyFactory &policy)
-            : cache(capacity, policy(capacity))
-        {
-        }
+        explicit Stripe(size_t capacity) : cache(capacity) {}
 
         mutable std::mutex mutex;
-        lab::PolicyCache<Key, Value> cache;
+        LruCache<Key, Value> cache;
     };
 
     Stripe &

@@ -37,8 +37,7 @@ powerLawWorkload(const bhive::Corpus &corpus, size_t requests,
 }
 
 NaiveRun
-runNaive(const PredictionEngine &engine,
-         const std::vector<std::string> &workload)
+runNaive(const AsyncEngine &engine, const std::vector<std::string> &workload)
 {
     NaiveRun run;
     run.predictions.reserve(workload.size());
@@ -51,8 +50,7 @@ runNaive(const PredictionEngine &engine,
 }
 
 ThroughputComparison
-engineVsNaive(PredictionEngine &engine,
-              const std::vector<std::string> &workload,
+engineVsNaive(AsyncEngine &engine, const std::vector<std::string> &workload,
               const NaiveRun &naive, size_t wave)
 {
     panic_if(naive.predictions.size() != workload.size(),
@@ -86,15 +84,6 @@ engineVsNaive(PredictionEngine &engine,
     return result;
 }
 
-ThroughputComparison
-compareThroughput(PredictionEngine &engine,
-                  const std::vector<std::string> &workload,
-                  size_t wave)
-{
-    return engineVsNaive(engine, workload,
-                         runNaive(engine, workload), wave);
-}
-
 namespace
 {
 
@@ -125,7 +114,7 @@ compareAsyncClients(const io::ModelSnapshot &artifact,
     result.threads = threads;
 
     // Single-caller baseline: one thread, one block at a time
-    // through the synchronous path — the v1 usage style.
+    // through the synchronous path.
     {
         AsyncEngine engine(artifact, config);
         const auto begin = std::chrono::steady_clock::now();

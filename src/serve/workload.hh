@@ -12,7 +12,7 @@
 
 #include "bhive/corpus.hh"
 #include "obs/metrics.hh"
-#include "serve/engine.hh"
+#include "serve/async_engine.hh"
 
 namespace difftune::serve
 {
@@ -34,7 +34,7 @@ std::vector<std::string> powerLawWorkload(const bhive::Corpus &corpus,
                                           size_t requests,
                                           size_t unique, uint64_t seed);
 
-/** Wall-clock results of compareThroughput / engineVsNaive. */
+/** Wall-clock results of engineVsNaive. */
 struct ThroughputComparison
 {
     double naiveSeconds = 0.0;  ///< predictUncached per request
@@ -55,7 +55,7 @@ struct NaiveRun
 };
 
 /** Run and time the naive reference over @p workload. */
-NaiveRun runNaive(const PredictionEngine &engine,
+NaiveRun runNaive(const AsyncEngine &engine,
                   const std::vector<std::string> &workload);
 
 /**
@@ -65,18 +65,8 @@ NaiveRun runNaive(const PredictionEngine &engine,
  * engine's caches are expected cold on entry.
  */
 ThroughputComparison
-engineVsNaive(PredictionEngine &engine,
-              const std::vector<std::string> &workload,
+engineVsNaive(AsyncEngine &engine, const std::vector<std::string> &workload,
               const NaiveRun &naive, size_t wave = 250);
-
-/**
- * runNaive + engineVsNaive in one call (the naive pass runs first,
- * so the engine's cache starts cold).
- */
-ThroughputComparison
-compareThroughput(PredictionEngine &engine,
-                  const std::vector<std::string> &workload,
-                  size_t wave = 250);
 
 /**
  * Request-latency percentiles of an async client run (seconds).

@@ -2,17 +2,14 @@
  * @file
  * Tests for the traffic lab (lab/): trace generation determinism
  * and the serialized round trip, Zipf popularity shape, respelling
- * canonicalization, cache-policy property tests (capacity bounds,
- * counter reconciliation, LRU-behind-interface equivalence with the
- * legacy serve::LruCache, TinyLFU scan resistance), the CacheSim
- * sweep harness, and — the acceptance assertion of the lab PR —
- * bit-exact engine replay for every (policy, dispatcher count)
- * combination, plus pool behavior under concurrent submission and
- * registry hot-swap (the TSan target).
+ * canonicalization, the model-mix bounds, and bit-exact engine
+ * replay for every dispatcher count, plus pool behavior under
+ * concurrent submission and registry hot-swap (the TSan target).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -21,17 +18,12 @@
 #include <thread>
 #include <unordered_map>
 
-#include "base/random.hh"
 #include "core/raw_table.hh"
 #include "hw/default_table.hh"
+#include "io/serialize.hh"
 #include "io/snapshot.hh"
 #include "isa/parse.hh"
-#include "lab/cache_sim.hh"
-#include "lab/policy.hh"
-#include "lab/policy_cache.hh"
 #include "lab/trace.hh"
-#include "serve/engine.hh"
-#include "serve/lru_cache.hh"
 #include "serve/registry.hh"
 
 namespace difftune::lab
@@ -194,6 +186,50 @@ TEST(TraceWorkload, ModelMixStaysInRange)
     EXPECT_GT(per_model[1], per_model[2]);
 }
 
+TEST(TraceWorkload, ModelMixIsBoundedByTheOneByteIndex)
+{
+    // A request's model index is one byte, so 256 models is the
+    // largest mix; a larger one would wrap indices silently.
+    TraceConfig cfg = smallTrace(6);
+    cfg.models = kMaxModels;
+    cfg.requests = 2000;
+    const TraceWorkload trace = TraceWorkload::generate(cfg);
+    uint32_t highest = 0;
+    for (const TraceRequest &req : trace.requests())
+        highest = std::max<uint32_t>(highest, req.model);
+    EXPECT_GT(highest, 200u);
+    EXPECT_EQ(TraceWorkload::deserialize(trace.serialize()).serialize(),
+              trace.serialize());
+
+    cfg.models = kMaxModels + 1;
+    EXPECT_THROW(TraceWorkload::generate(cfg), std::runtime_error);
+}
+
+TEST(TraceWorkload, DeserializeRejectsModelIndexOutsideTheMix)
+{
+    TraceConfig cfg = smallTrace(4);
+    cfg.models = 2;
+    const TraceWorkload trace = TraceWorkload::generate(cfg);
+    bool uses_model_1 = false;
+    for (const TraceRequest &req : trace.requests())
+        uses_model_1 = uses_model_1 || req.model == 1;
+    ASSERT_TRUE(uses_model_1);
+
+    // Rewrite the header's model count to 1 and reseal the CRC, so
+    // the file is intact but the requests drawn for model 1 index
+    // outside its mix. The count follows the magic, the version,
+    // three u64 and five f64 fields.
+    const std::string bytes = trace.serialize();
+    std::string payload = bytes.substr(0, bytes.size() - 4);
+    constexpr size_t kModelsOffset = 4 + 4 + 3 * 8 + 5 * 8;
+    ASSERT_EQ(payload.substr(kModelsOffset, 4), std::string("\2\0\0\0", 4));
+    payload[kModelsOffset] = 1;
+    io::ByteWriter crc;
+    crc.u32(io::crc32(payload));
+    EXPECT_THROW(TraceWorkload::deserialize(payload + crc.take()),
+                 std::runtime_error);
+}
+
 TEST(TraceWorkload, RespellingPreservesCanonicalForm)
 {
     const TraceWorkload trace =
@@ -217,232 +253,40 @@ TEST(TraceWorkload, RespellingPreservesCanonicalForm)
     EXPECT_GT(respelled, 20u);
 }
 
-// ----------------------------------------------------------- policies
-
-TEST(CachePolicy, RegistryKnowsAllPolicies)
-{
-    ASSERT_EQ(policyNames().size(), 3u);
-    for (const std::string &name : policyNames()) {
-        const PolicyFactory factory = policyFactory(name);
-        const std::unique_ptr<CachePolicy> policy = factory(8);
-        EXPECT_EQ(policy->name(), name);
-    }
-}
-
-TEST(CachePolicy, PropertyInvariantsHoldForEveryPolicy)
-{
-    // Seed-parameterized property run: for every policy, a random
-    // mixed get/put stream must (a) never exceed capacity, (b) only
-    // ever hit values actually put for that key, and (c) leave the
-    // counters reconciled.
-    constexpr size_t kCapacity = 32;
-    for (const std::string &name : policyNames()) {
-        for (uint64_t seed : {1u, 2u, 3u}) {
-            PolicyCache<int, int> cache(
-                kCapacity, policyFactory(name)(kCapacity));
-            Rng rng(seed);
-            uint64_t gets = 0;
-            for (int i = 0; i < 4000; ++i) {
-                const int key = int(rng.uniformInt(0, 63));
-                if (rng.bernoulli(0.5)) {
-                    ++gets;
-                    if (const int *hit = cache.get(key)) {
-                        // Hit implies a prior admitted put of this
-                        // exact key (values are key-derived).
-                        EXPECT_EQ(*hit, key * 3 + 1)
-                            << name << " seed " << seed;
-                    }
-                } else {
-                    cache.put(key, key * 3 + 1);
-                }
-                ASSERT_LE(cache.size(), kCapacity) << name;
-            }
-            const CacheCounters &c = cache.counters();
-            EXPECT_EQ(c.hits + c.misses, gets) << name;
-            EXPECT_EQ(c.insertions,
-                      c.evictions + cache.size())
-                << name;
-            if (name != "tinylfu") {
-                EXPECT_EQ(c.rejections, 0u) << name;
-            }
-        }
-    }
-}
-
-TEST(CachePolicy, LruPolicyMatchesLegacyLruCache)
-{
-    // The extraction proof: the interface LRU must make the byte-
-    // identical hit/miss/eviction decisions the legacy intrusive
-    // serve::LruCache makes on the same operation sequence.
-    for (uint64_t seed : {11u, 22u, 33u}) {
-        constexpr size_t kCapacity = 16;
-        serve::LruCache<int, int> legacy(kCapacity);
-        PolicyCache<int, int> cache(kCapacity,
-                                    makeLruPolicy(kCapacity));
-        Rng rng(seed);
-        for (int i = 0; i < 3000; ++i) {
-            const int key = int(rng.uniformInt(0, 47));
-            if (rng.bernoulli(0.5)) {
-                const int *a = legacy.get(key);
-                const int *b = cache.get(key);
-                ASSERT_EQ(a == nullptr, b == nullptr)
-                    << "step " << i << " seed " << seed;
-                if (a) {
-                    ASSERT_EQ(*a, *b);
-                }
-            } else {
-                const int value = i;
-                legacy.put(key, value);
-                ASSERT_TRUE(cache.put(key, value));
-            }
-            ASSERT_EQ(legacy.size(), cache.size());
-        }
-    }
-}
-
-TEST(CachePolicy, TinyLfuRejectsScansAndKeepsHotSet)
-{
-    constexpr size_t kCapacity = 16;
-    PolicyCache<int, int> cache(kCapacity,
-                                makeTinyLfuPolicy(kCapacity));
-    // Warm a hot set that exactly fills the cache and builds sketch
-    // frequency well above any one-hit wonder.
-    for (int round = 0; round < 8; ++round)
-        for (int key = 0; key < int(kCapacity); ++key)
-            if (!cache.get(key))
-                cache.put(key, key);
-    // A long scan interleaved with live hot traffic (that is what
-    // scan resistance means — the sketch ages every 8 x capacity
-    // records, so a hot set that stops arriving legitimately decays
-    // away): the doorkeeper absorbs each scan key's first sighting,
-    // so scan keys estimate at most 1 and lose the admission duel
-    // against the still-hot residents.
-    uint64_t admitted = 0;
-    int hot = 0;
-    for (int key = 1000; key < 2000; ++key) {
-        if (!cache.get(hot))
-            cache.put(hot, hot);
-        hot = (hot + 1) % int(kCapacity);
-        EXPECT_EQ(cache.get(key), nullptr);
-        if (cache.put(key, key))
-            ++admitted;
-    }
-    EXPECT_LT(admitted, 50u);
-    EXPECT_GT(cache.counters().rejections, 950u);
-    // Nearly all of the hot set survived the scan.
-    size_t resident = 0;
-    for (int key = 0; key < int(kCapacity); ++key)
-        if (cache.get(key) != nullptr)
-            ++resident;
-    EXPECT_GE(resident, kCapacity - 4);
-}
-
-TEST(CachePolicy, SegmentedLruProtectsRepeatedKeysFromScans)
-{
-    constexpr size_t kCapacity = 16;
-    PolicyCache<int, int> cache(
-        kCapacity, makeSegmentedLruPolicy(kCapacity, 0.5));
-    // Promote a small working set into the protected segment (two
-    // hits each), then scan. The scan churns probation but may not
-    // evict the protected keys.
-    for (int round = 0; round < 3; ++round)
-        for (int key = 0; key < 6; ++key)
-            if (!cache.get(key))
-                cache.put(key, key);
-    for (int key = 500; key < 600; ++key) {
-        cache.get(key);
-        cache.put(key, key);
-    }
-    for (int key = 0; key < 6; ++key)
-        EXPECT_NE(cache.get(key), nullptr) << "protected " << key;
-}
-
-// ----------------------------------------------------------- CacheSim
-
-TEST(CacheSim, SweepCoversAllPoliciesAndReconciles)
-{
-    TraceConfig cfg;
-    cfg.seed = 17;
-    cfg.corpusTarget = 64;
-    cfg.requests = 4000;
-    cfg.zipfSkew = 1.1;
-    const TraceWorkload trace = TraceWorkload::generate(cfg);
-    obs::MetricRegistry registry;
-    const std::vector<SimResult> results =
-        sweepPolicies(trace, 16, registry);
-    ASSERT_EQ(results.size(), policyNames().size());
-    for (size_t i = 0; i < results.size(); ++i) {
-        const SimResult &r = results[i];
-        EXPECT_EQ(r.policy, policyNames()[i]);
-        EXPECT_EQ(r.requests, uint64_t(cfg.requests));
-        EXPECT_EQ(r.counters.hits + r.counters.misses, r.requests);
-        EXPECT_GE(r.hitRate, 0.0);
-        EXPECT_LE(r.hitRate, 1.0);
-        EXPECT_GT(r.counters.hits, 0u);
-        EXPECT_FALSE(r.row().empty());
-    }
-}
-
-TEST(CacheSim, SmartPoliciesBeatLruOnSkewedTraffic)
-{
-    // The bench_lab --smoke floor, asserted here deterministically:
-    // on heavily Zipfian traffic with a cache much smaller than the
-    // corpus, segmented LRU and TinyLFU admission must match or beat
-    // plain LRU's hit-rate.
-    TraceConfig cfg;
-    cfg.seed = 29;
-    cfg.corpusTarget = 256;
-    cfg.requests = 20000;
-    cfg.zipfSkew = 1.0;
-    const TraceWorkload trace = TraceWorkload::generate(cfg);
-    obs::MetricRegistry registry;
-    const std::vector<SimResult> results =
-        sweepPolicies(trace, 32, registry);
-    ASSERT_EQ(results.size(), 3u);
-    const double lru = results[0].hitRate;
-    EXPECT_GE(results[1].hitRate, lru) << "slru regressed vs lru";
-    EXPECT_GE(results[2].hitRate, lru) << "tinylfu regressed vs lru";
-}
-
 // ------------------------------------------------------ engine replay
 
-TEST(LabReplay, BitStableForEveryPolicyAndPoolSize)
+TEST(LabReplay, BitStableForEveryPoolSize)
 {
     // The lab acceptance assertion: replaying one trace through
-    // AsyncEngine must produce bit-identical kF64 predictions for
-    // every cache policy x dispatcher count (AsyncConfig::workers)
-    // combination — the policy and the pool may only ever change
-    // speed, never results.
-    // A deliberately tiny cache forces eviction/admission churn.
+    // AsyncEngine must produce bit-identical predictions for every
+    // dispatcher count (AsyncConfig::workers) — the pool may only
+    // ever change speed, never results. A deliberately tiny cache
+    // forces eviction churn.
     const TraceWorkload trace = TraceWorkload::generate(smallTrace(1));
     const std::vector<std::string> texts = trace.requestTexts();
 
-    serve::PredictionEngine reference(tinyCheckpoint());
+    serve::AsyncEngine reference(tinyCheckpoint());
     std::vector<double> expected;
     expected.reserve(texts.size());
     for (const std::string &text : texts)
         expected.push_back(reference.predict(text));
 
-    for (const std::string &policy : policyNames()) {
-        for (int pool : {1, 2, 4}) {
-            serve::AsyncConfig cfg;
-            cfg.workers = pool;
-            cfg.cachePolicy = policyFactory(policy);
-            cfg.cacheCapacity = 8;
-            serve::AsyncEngine engine(tinyCheckpoint(), cfg);
-            std::vector<std::future<double>> futures =
-                engine.submitAll(texts);
-            ASSERT_EQ(futures.size(), expected.size());
-            for (size_t i = 0; i < futures.size(); ++i)
-                ASSERT_TRUE(
-                    sameBits(futures[i].get(), expected[i]))
-                    << policy << " pool " << pool << " req " << i;
-            // Replay reconciles: every request counted exactly once.
-            const serve::ServeStats &stats = engine.stats();
-            EXPECT_EQ(stats.requests.load(), texts.size());
-            EXPECT_EQ(stats.hits.load() + stats.misses.load(),
-                      stats.requests.load());
-        }
+    for (int pool : {1, 2, 4}) {
+        serve::AsyncConfig cfg;
+        cfg.workers = pool;
+        cfg.cacheCapacity = 8;
+        serve::AsyncEngine engine(tinyCheckpoint(), cfg);
+        std::vector<std::future<double>> futures =
+            engine.submitAll(texts);
+        ASSERT_EQ(futures.size(), expected.size());
+        for (size_t i = 0; i < futures.size(); ++i)
+            ASSERT_TRUE(sameBits(futures[i].get(), expected[i]))
+                << "pool " << pool << " req " << i;
+        // Replay reconciles: every request counted exactly once.
+        const serve::ServeStats &stats = engine.stats();
+        EXPECT_EQ(stats.requests.load(), texts.size());
+        EXPECT_EQ(stats.hits.load() + stats.misses.load(),
+                  stats.requests.load());
     }
 }
 
@@ -453,7 +297,7 @@ TEST(LabReplay, PoolServesConcurrentClientsBitExact)
     // bits. (This is the pool's TSan workout too.)
     const TraceWorkload trace = TraceWorkload::generate(smallTrace(2));
     const std::vector<std::string> texts = trace.requestTexts();
-    serve::PredictionEngine reference(tinyCheckpoint());
+    serve::AsyncEngine reference(tinyCheckpoint());
     std::vector<double> expected;
     expected.reserve(texts.size());
     for (const std::string &text : texts)
@@ -491,7 +335,7 @@ TEST(LabReplay, PoolSurvivesRegistryHotSwapUnderLoad)
     // ThreadSanitizer.
     const TraceWorkload trace = TraceWorkload::generate(smallTrace(3));
     const std::vector<std::string> texts = trace.requestTexts();
-    serve::PredictionEngine reference(tinyCheckpoint());
+    serve::AsyncEngine reference(tinyCheckpoint());
     std::vector<double> expected;
     expected.reserve(texts.size());
     for (const std::string &text : texts)

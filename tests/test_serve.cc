@@ -6,9 +6,10 @@
  * larger than the shard working set, ragged block lengths crossing
  * the lockstep masking path), invariance to the worker count,
  * surrogate-mode input handling, checkpoint validation at load, and
- * path-naming load errors. The engine under test is the v1
- * synchronous wrapper over serve::AsyncEngine; the v2 concurrency
- * surface is covered by tests/test_serve_async.cc.
+ * path-naming load errors, all through serve::AsyncEngine's
+ * synchronous calls (its concurrency surface is covered by
+ * tests/test_serve_async.cc); and the LRU cache every serving-cache
+ * stripe is built from.
  */
 
 #include <gtest/gtest.h>
@@ -17,12 +18,14 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "base/random.hh"
 #include "bhive/corpus.hh"
 #include "core/raw_table.hh"
 #include "hw/default_table.hh"
 #include "isa/parse.hh"
-#include "serve/engine.hh"
+#include "serve/async_engine.hh"
 #include "serve/lru_cache.hh"
+#include "serve/sharded_cache.hh"
 
 namespace difftune::serve
 {
@@ -84,7 +87,7 @@ sameBits(double a, double b)
 
 TEST(Engine, CacheHitBehavior)
 {
-    PredictionEngine engine(ithemalCheckpoint());
+    AsyncEngine engine(ithemalCheckpoint());
     const std::string text = sampleBlocks[0];
 
     const double first = engine.predict(text);
@@ -107,7 +110,7 @@ TEST(Engine, CacheHitBehavior)
 
 TEST(Engine, CacheKeyIsCanonicalized)
 {
-    PredictionEngine engine(ithemalCheckpoint());
+    AsyncEngine engine(ithemalCheckpoint());
     engine.predict("ADD32rr %ebx, %ecx\nNOP\n");
     // Comments and blank lines canonicalize away: same block, so the
     // second request must hit.
@@ -122,8 +125,8 @@ TEST(Engine, CacheKeyIsCanonicalized)
 
 TEST(Engine, BatchedEqualsSequential)
 {
-    PredictionEngine sequential(ithemalCheckpoint());
-    PredictionEngine batched(ithemalCheckpoint());
+    AsyncEngine sequential(ithemalCheckpoint());
+    AsyncEngine batched(ithemalCheckpoint());
 
     std::vector<double> expected;
     for (const auto &text : sampleBlocks)
@@ -144,8 +147,8 @@ TEST(Engine, BatchedEqualsSequential)
 
 TEST(Engine, BatchOfOneMatchesSingleAndUncached)
 {
-    PredictionEngine batched(ithemalCheckpoint());
-    PredictionEngine single(ithemalCheckpoint());
+    AsyncEngine batched(ithemalCheckpoint());
+    AsyncEngine single(ithemalCheckpoint());
     for (const auto &text : sampleBlocks) {
         const auto results = batched.predictAll({text});
         ASSERT_EQ(results.size(), 1u);
@@ -167,8 +170,8 @@ TEST(Engine, BatchLargerThanShardWorkingSet)
     for (size_t i = 0; i < corpus.size(); ++i)
         texts.push_back(isa::toString(corpus[i].block));
 
-    PredictionEngine batched(surrogateCheckpoint());
-    PredictionEngine sequential(surrogateCheckpoint());
+    AsyncEngine batched(surrogateCheckpoint());
+    AsyncEngine sequential(surrogateCheckpoint());
     const auto results = batched.predictAll(texts);
     ASSERT_EQ(results.size(), texts.size());
     for (size_t i = 0; i < texts.size(); ++i)
@@ -192,15 +195,15 @@ TEST(Engine, RaggedBlockLengthsCrossTheMaskPath)
         "ADD64rr %rdi, %rbx\n",
         "PUSH64r %rbx\nPOP64r %rcx\nADD32rr %ebx, %ecx\n",
     };
-    PredictionEngine batched(surrogateCheckpoint());
-    PredictionEngine sequential(surrogateCheckpoint());
+    AsyncEngine batched(surrogateCheckpoint());
+    AsyncEngine sequential(surrogateCheckpoint());
     const auto results = batched.predictAll(ragged);
     for (size_t i = 0; i < ragged.size(); ++i)
         EXPECT_TRUE(
             sameBits(results[i], sequential.predict(ragged[i])))
             << "block " << i;
     // And submission order must not matter.
-    PredictionEngine reversed(surrogateCheckpoint());
+    AsyncEngine reversed(surrogateCheckpoint());
     const std::vector<std::string> rev(ragged.rbegin(),
                                        ragged.rend());
     const auto back = reversed.predictAll(rev);
@@ -214,9 +217,9 @@ TEST(Engine, ResultsInvariantUnderWorkerCount)
 {
     std::vector<double> reference;
     for (int workers : {1, 2, 3, 7}) {
-        ServeConfig cfg;
+        AsyncConfig cfg;
         cfg.workers = workers;
-        PredictionEngine engine(ithemalCheckpoint(), cfg);
+        AsyncEngine engine(ithemalCheckpoint(), cfg);
         const auto results = engine.predictAll(sampleBlocks);
         if (reference.empty()) {
             reference = results;
@@ -231,7 +234,7 @@ TEST(Engine, ResultsInvariantUnderWorkerCount)
 
 TEST(Engine, UncachedMatchesCached)
 {
-    PredictionEngine engine(ithemalCheckpoint());
+    AsyncEngine engine(ithemalCheckpoint());
     for (const auto &text : sampleBlocks) {
         const double uncached = engine.predictUncached(text);
         const double cached = engine.predict(text);
@@ -247,7 +250,7 @@ TEST(Engine, SurrogateModeMatchesManualForward)
     // Keep an aliased model view for the manual reference pass; the
     // engine owns the model but never mutates it.
     const surrogate::Model &model = *ckpt.model;
-    PredictionEngine engine(std::move(ckpt));
+    AsyncEngine engine(std::move(ckpt));
 
     const core::ParamNormalizer norm(dist);
     for (const auto &text : sampleBlocks) {
@@ -264,9 +267,9 @@ TEST(Engine, SurrogateModeMatchesManualForward)
 
 TEST(Engine, LruEvictionKeepsServing)
 {
-    ServeConfig cfg;
+    AsyncConfig cfg;
     cfg.cacheCapacity = 2;
-    PredictionEngine engine(ithemalCheckpoint(), cfg);
+    AsyncEngine engine(ithemalCheckpoint(), cfg);
     std::vector<double> first;
     for (const auto &text : sampleBlocks)
         first.push_back(engine.predict(text));
@@ -286,44 +289,41 @@ TEST(Engine, FileRoundTripServesIdentically)
     io::saveCheckpoint(path, ckpt.model.get(), &*ckpt.dist,
                        &*ckpt.table);
 
-    PredictionEngine original(std::move(ckpt));
-    PredictionEngine restored = PredictionEngine::fromFile(path);
+    AsyncEngine original(std::move(ckpt));
+    const auto restored = AsyncEngine::loadFromFile(path);
     std::remove(path.c_str());
 
     for (const auto &text : sampleBlocks)
         EXPECT_TRUE(sameBits(original.predict(text),
-                             restored.predict(text)));
+                             restored->predict(text)));
 }
 
 TEST(Engine, RejectsCheckpointWithoutModel)
 {
     io::Checkpoint ckpt;
     ckpt.table = hw::defaultTable(hw::Uarch::Haswell);
-    EXPECT_THROW(PredictionEngine{std::move(ckpt)},
-                 std::runtime_error);
+    EXPECT_THROW(AsyncEngine{std::move(ckpt)}, std::runtime_error);
 }
 
 TEST(Engine, RejectsSurrogateWithoutTable)
 {
     io::Checkpoint ckpt = surrogateCheckpoint();
     ckpt.table.reset();
-    EXPECT_THROW(PredictionEngine{std::move(ckpt)},
-                 std::runtime_error);
+    EXPECT_THROW(AsyncEngine{std::move(ckpt)}, std::runtime_error);
 }
 
 TEST(Engine, RejectsSurrogateWithoutDist)
 {
     io::Checkpoint ckpt = surrogateCheckpoint();
     ckpt.dist.reset();
-    EXPECT_THROW(PredictionEngine{std::move(ckpt)},
-                 std::runtime_error);
+    EXPECT_THROW(AsyncEngine{std::move(ckpt)}, std::runtime_error);
 }
 
-TEST(Engine, FromFileErrorsNameTheOffendingPath)
+TEST(Engine, LoadFromFileErrorsNameTheOffendingPath)
 {
     // A missing file names the path...
     try {
-        PredictionEngine::fromFile("/nonexistent/missing.ckpt");
+        AsyncEngine::loadFromFile("/nonexistent/missing.ckpt");
         FAIL() << "expected a load failure";
     } catch (const std::runtime_error &error) {
         EXPECT_NE(std::string(error.what())
@@ -340,7 +340,7 @@ TEST(Engine, FromFileErrorsNameTheOffendingPath)
             .string();
     io::saveCheckpoint(path, ckpt.model.get(), nullptr, nullptr);
     try {
-        PredictionEngine::fromFile(path);
+        AsyncEngine::loadFromFile(path);
         std::remove(path.c_str());
         FAIL() << "expected a validation failure";
     } catch (const std::runtime_error &error) {
@@ -356,13 +356,12 @@ TEST(Engine, RejectsVocabMismatch)
 {
     io::Checkpoint ckpt = ithemalCheckpoint();
     ckpt.vocabSize += 1;
-    EXPECT_THROW(PredictionEngine{std::move(ckpt)},
-                 std::runtime_error);
+    EXPECT_THROW(AsyncEngine{std::move(ckpt)}, std::runtime_error);
 }
 
 TEST(Engine, RejectsEmptyBlock)
 {
-    PredictionEngine engine(ithemalCheckpoint());
+    AsyncEngine engine(ithemalCheckpoint());
     EXPECT_THROW(engine.predict("# only a comment\n"),
                  std::runtime_error);
     // Also catchable from the batched path: the validation must run
@@ -397,6 +396,61 @@ TEST(LruCacheTest, PutRefreshesExistingKey)
     ASSERT_NE(cache.get(1), nullptr);
     EXPECT_EQ(*cache.get(1), 11);
     EXPECT_EQ(cache.get(2), nullptr);
+}
+
+TEST(LruCacheTest, PropertyInvariantsHold)
+{
+    // Seed-parameterized property run: a random mixed get/put
+    // stream must never exceed capacity, and a hit must return the
+    // last value put for that key.
+    constexpr size_t kCapacity = 32;
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        LruCache<int, int> cache(kCapacity);
+        std::vector<int> last(64, -1);
+        Rng rng(seed);
+        for (int i = 0; i < 4000; ++i) {
+            const int key = int(rng.uniformInt(0, 63));
+            if (rng.bernoulli(0.5)) {
+                if (const int *hit = cache.get(key)) {
+                    EXPECT_EQ(*hit, last[size_t(key)])
+                        << "seed " << seed << " step " << i;
+                }
+            } else {
+                cache.put(key, i);
+                last[size_t(key)] = i;
+            }
+            ASSERT_LE(cache.size(), kCapacity) << "seed " << seed;
+        }
+    }
+}
+
+TEST(LruCacheTest, OneStripeShardedCacheMatchesBareCache)
+{
+    // A one-stripe ShardedLruCache is a locked LruCache: the same
+    // operation sequence must make the same hit/miss decisions and
+    // leave the same sizes.
+    for (uint64_t seed : {11u, 22u, 33u}) {
+        constexpr size_t kCapacity = 16;
+        LruCache<int, int> bare(kCapacity);
+        ShardedLruCache<int, int> sharded(kCapacity, 1);
+        Rng rng(seed);
+        for (int i = 0; i < 3000; ++i) {
+            const int key = int(rng.uniformInt(0, 47));
+            if (rng.bernoulli(0.5)) {
+                const int *a = bare.get(key);
+                const std::optional<int> b = sharded.get(key);
+                ASSERT_EQ(a != nullptr, b.has_value())
+                    << "step " << i << " seed " << seed;
+                if (a) {
+                    ASSERT_EQ(*a, *b);
+                }
+            } else {
+                bare.put(key, i);
+                sharded.put(key, i);
+            }
+            ASSERT_EQ(bare.size(), sharded.size());
+        }
+    }
 }
 
 } // namespace

@@ -26,7 +26,7 @@
 #include "core/raw_table.hh"
 #include "hw/default_table.hh"
 #include "isa/parse.hh"
-#include "serve/engine.hh"
+#include "serve/async_engine.hh"
 
 namespace difftune::serve
 {
@@ -136,7 +136,7 @@ TEST(AsyncEngine, EnginesShareOneArtifactSnapshot)
 TEST(AsyncEngine, SubmitMatchesSequentialReference)
 {
     AsyncEngine engine(ithemalCheckpoint());
-    PredictionEngine reference(ithemalCheckpoint());
+    AsyncEngine reference(ithemalCheckpoint());
     const auto texts = corpusTexts(16, 0x22);
     for (const auto &text : texts) {
         std::future<double> future = engine.submit(text);
@@ -151,7 +151,7 @@ TEST(AsyncEngine, ConcurrentInterleavedSubmissionIsBitExact)
     // result must be bit-identical regardless of thread count,
     // arrival order or how the micro-batcher slices the stream.
     const auto texts = corpusTexts(32, 0x33);
-    PredictionEngine reference(surrogateCheckpoint());
+    AsyncEngine reference(surrogateCheckpoint());
     std::vector<double> expected;
     expected.reserve(texts.size());
     for (const auto &text : texts)
@@ -229,7 +229,7 @@ TEST(AsyncEngine, ShutdownDrainsPendingFutures)
 {
     const auto texts = corpusTexts(24, 0x66);
     AsyncEngine engine(ithemalCheckpoint());
-    PredictionEngine reference(ithemalCheckpoint());
+    AsyncEngine reference(ithemalCheckpoint());
     std::vector<std::future<double>> futures;
     futures.reserve(texts.size());
     for (const auto &text : texts)
@@ -267,6 +267,16 @@ TEST(AsyncEngine, SubmitAfterShutdownThrowsCatchableError)
               stats.hits.load() + stats.misses.load());
 }
 
+TEST(AsyncEngine, ZeroCacheCapacityThrowsCatchableError)
+{
+    // Like maxBatch == 0, a zero capacity is a bad configuration:
+    // it must be rejected with a catchable error before any cache
+    // is built, since the cache itself panics (aborts) on it.
+    AsyncConfig cfg;
+    cfg.cacheCapacity = 0;
+    EXPECT_THROW(AsyncEngine(ithemalCheckpoint(), cfg), std::runtime_error);
+}
+
 TEST(AsyncEngine, ParseErrorsPropagateThroughFutures)
 {
     AsyncEngine engine(ithemalCheckpoint());
@@ -279,31 +289,17 @@ TEST(AsyncEngine, ParseErrorsPropagateThroughFutures)
     EXPECT_GT(futures[0].get(), 0.0);
     EXPECT_THROW(futures[1].get(), std::runtime_error);
     EXPECT_GT(futures[2].get(), 0.0);
-    // The synchronous wrapper surfaces the same error by throwing.
+    // The synchronous path surfaces the same error by throwing.
     EXPECT_THROW(engine.predict("BOGUS_OPCODE %zz\n"),
                  std::runtime_error);
 }
 
-TEST(AsyncEngine, WrapperAndAsyncServeIdenticalBits)
-{
-    const auto texts = corpusTexts(12, 0x88);
-    PredictionEngine wrapper(surrogateCheckpoint());
-    AsyncEngine direct(surrogateCheckpoint());
-    for (const auto &text : texts) {
-        const double a = wrapper.predict(text);
-        const double b = direct.submit(text).get();
-        EXPECT_TRUE(sameBits(a, b));
-        EXPECT_TRUE(sameBits(a, wrapper.predictUncached(text)));
-    }
-}
-
 TEST(AsyncEngine, ConcurrentSyncCallsAreSafe)
 {
-    // The synchronous entry points are thread-safe too (v1's
-    // "single-caller" restriction is gone): hammer predict and
-    // predictAll from several threads.
+    // The synchronous entry points are thread-safe too: hammer
+    // predict and predictAll from several threads.
     const auto texts = corpusTexts(24, 0xaa);
-    PredictionEngine reference(ithemalCheckpoint());
+    AsyncEngine reference(ithemalCheckpoint());
     std::vector<double> expected;
     for (const auto &text : texts)
         expected.push_back(reference.predict(text));
@@ -339,7 +335,7 @@ TEST(AsyncEngine, PoolShutdownDrainsEveryQueue)
     // — the drain covers every per-dispatcher queue, for every
     // dispatcher count.
     const auto texts = corpusTexts(24, 0xbb);
-    PredictionEngine reference(ithemalCheckpoint());
+    AsyncEngine reference(ithemalCheckpoint());
     for (int workers : {1, 2, 4}) {
         AsyncConfig cfg;
         cfg.workers = workers;
@@ -456,38 +452,6 @@ TEST(ShardedLruCacheTest, StripeBalanceOnDenseBlockIds)
         EXPECT_NEAR(double(load[s]), fair, 0.10 * fair)
             << "stripe " << s;
     }
-}
-
-TEST(ShardedLruCacheTest, PolicyFactoryDrivesStripes)
-{
-    // A non-default policy threads through the sharded wrapper: a
-    // TinyLFU cache under one-pass scan traffic must reject most
-    // inserts (counters prove the policy actually ran per stripe).
-    ShardedLruCache<uint32_t, double> cache(
-        64, 4, lab::policyFactory("tinylfu"));
-    EXPECT_STREQ(cache.policyName(), "tinylfu");
-    // Warm a hot set, then scan with the hot traffic still flowing
-    // (TinyLFU's sketch ages, so a hot set that stops arriving
-    // decays away by design).
-    for (int round = 0; round < 8; ++round)
-        for (uint32_t id = 0; id < 64; ++id)
-            if (!cache.get(id))
-                cache.put(id, double(id));
-    for (uint32_t id = 10000; id < 12000; ++id) {
-        const uint32_t hot = id % 64;
-        if (!cache.get(hot))
-            cache.put(hot, double(hot));
-        cache.get(id);
-        cache.put(id, double(id));
-    }
-    const lab::CacheCounters counters = cache.counters();
-    EXPECT_GT(counters.rejections, 1500u);
-    // Hot keys survived the scan.
-    size_t hot_resident = 0;
-    for (uint32_t id = 0; id < 64; ++id)
-        if (cache.get(id))
-            ++hot_resident;
-    EXPECT_GT(hot_resident, 48u);
 }
 
 TEST(ShardedLruCacheTest, StripedGetPutAndEviction)

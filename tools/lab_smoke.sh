@@ -4,18 +4,16 @@
 #   1. save-tiny a checkpoint; generate a Zipf trace twice and
 #      require the two trace files to be byte-identical (the
 #      deterministic-generation contract)
-#   2. sweep the trace through every registered cache policy
-#   3. replay the trace locally for every policy x dispatcher count
-#      in {lru, slru, tinylfu} x {1, 2, 4} (--workers) with --check:
-#      every reply must be bit-exact against the engine's uncached
-#      reference, so the dispatcher count and the policy provably
-#      change only speed
-#   4. serve the checkpoint through a two-dispatcher difftuned
+#   2. replay the trace locally for every dispatcher count in
+#      {1, 2, 4} (--workers) with --check: every reply must be
+#      bit-exact against the engine's uncached reference, so the
+#      dispatcher count provably changes only speed
+#   3. serve the checkpoint through a two-dispatcher difftuned
 #      (--workers 2), replay the trace against it over the wire
 #      (self-consistency audit), and difftune_compare check the
 #      daemon against a checkpoint-built .preds artifact (exit 0 =
 #      every block bit-exact across the process boundary)
-#   5. SIGTERM the daemon and require a graceful-drain exit 0
+#   4. SIGTERM the daemon and require a graceful-drain exit 0
 #
 # Usage: lab_smoke.sh <difftuned> <difftune_lab> <difftune_compare>
 #
@@ -58,21 +56,14 @@ step "gen twice: same knobs must be byte-identical"
 cmp "$WORKDIR/a.trace" "$WORKDIR/b.trace" ||
     { echo "FAIL: same-seed traces differ"; exit 1; }
 
-step "policy sweep"
-"$LAB" sweep "$WORKDIR/a.trace" --capacity 16
-
-step "replay matrix: policy x workers, bit-exact vs uncached reference"
+step "replay per dispatcher count, bit-exact vs uncached reference"
 # --check exits 1 if any reply differs from predictUncached, so an
-# exit 0 over the full matrix asserts the acceptance bit-stability:
-# every policy and every dispatcher count in {1, 2, 4} serves the
-# same bits.
-for policy in lru slru tinylfu; do
-    for workers in 1 2 4; do
-        echo "   policy=$policy workers=$workers"
-        "$LAB" replay "$WORKDIR/a.trace" --ckpt "$WORKDIR/m.ckpt" \
-            --policy "$policy" --workers "$workers" \
-            --capacity 16 --check
-    done
+# exit 0 for every count asserts the acceptance bit-stability: every
+# dispatcher count in {1, 2, 4} serves the same bits.
+for workers in 1 2 4; do
+    echo "   workers=$workers"
+    "$LAB" replay "$WORKDIR/a.trace" --ckpt "$WORKDIR/m.ckpt" \
+        --workers "$workers" --capacity 16 --check
 done
 
 step "start two-dispatcher difftuned (--workers 2, ephemeral port)"
