@@ -19,8 +19,11 @@
 #include "mca/xmca.hh"
 #include "usim/usim.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace difftune;
     setVerbose(false);
@@ -82,4 +85,17 @@ main(int argc, char **argv)
               << "\nExpected ordering (paper Table IV): Ithemal < "
                  "analytical < simulator defaults; USim worst.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 1;
+    }
 }

@@ -338,8 +338,9 @@ cmdBench(int argc, char **argv)
             << "async x" << threads << ":      "
             << fmtDouble(double(requests) / clients.asyncSeconds, 0)
             << " blocks/s ("
-            << fmtDouble(clients.speedup(), 2)
-            << "x aggregate, p50/p95/p99 "
+            << fmtDouble(clients.speedup, 2)
+            << "x aggregate over " << clients.pairs
+            << " pass pairs, p50/p95/p99 "
             << fmtDouble(clients.latency.p50 * 1e6, 0) << "/"
             << fmtDouble(clients.latency.p95 * 1e6, 0) << "/"
             << fmtDouble(clients.latency.p99 * 1e6, 0) << " us)\n";

@@ -19,8 +19,11 @@
 #include "isa/parse.hh"
 #include "mca/xmca.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace difftune;
 
@@ -63,4 +66,17 @@ main(int argc, char **argv)
     }
     std::cout << dw_table.render();
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 1;
+    }
 }

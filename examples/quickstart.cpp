@@ -15,8 +15,11 @@
 #include "isa/parse.hh"
 #include "mca/xmca.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace difftune;
 
@@ -69,4 +72,17 @@ main(int argc, char **argv)
               << "\nNext: examples/tune_simulator.cpp learns these "
                  "values from end-to-end measurements alone.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 1;
+    }
 }

@@ -19,8 +19,11 @@
 #include "hw/default_table.hh"
 #include "mca/xmca.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace difftune;
     setVerbose(true);
@@ -77,4 +80,17 @@ main(int argc, char **argv)
     std::cout << "learned table saved to " << out
               << " (reload with ParamTable::load)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 1;
+    }
 }

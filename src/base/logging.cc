@@ -26,12 +26,12 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::cerr << "fatal: " << msg << "\n  at " << file << ":" << line
-              << std::endl;
-    // Throwing (rather than exit(1)) keeps fatal() testable; main()
-    // wrappers convert uncaught FatalError into exit(1).
+    // Throwing (rather than exit(1)) keeps fatal() testable and lets
+    // an engine answer a bad request through its future. Nothing is
+    // printed here: a caught error must stay quiet, and each CLI
+    // main() prints what() once.
     throw std::runtime_error("fatal: " + msg);
 }
 

@@ -2,8 +2,11 @@
  * @file
  * Status-message and error-reporting helpers, following the gem5
  * panic()/fatal() convention: panic() is for internal invariant
- * violations (bugs in this library), fatal() is for unrecoverable
- * user-caused conditions (bad configuration, bad input files).
+ * violations (bugs in this library) and prints before it aborts;
+ * fatal() is for user-caused conditions (bad configuration, bad
+ * input files) and only throws std::runtime_error("fatal: <msg>"),
+ * so a caller that handles the error prints nothing and every CLI
+ * main() prints what() exactly once.
  */
 
 #ifndef DIFFTUNE_BASE_LOGGING_HH
@@ -62,9 +65,8 @@ fmtStr(const char *fmt, Args &&...args)
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
-/** Exit with a message: the user asked for something unsatisfiable. */
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+/** Throw with a message: the user asked for something unsatisfiable. */
+[[noreturn]] void fatalImpl(const std::string &msg);
 
 /** Print a warning to stderr; execution continues. */
 void warnImpl(const std::string &msg);
@@ -87,8 +89,7 @@ bool verbose();
 
 #define panic(...) \
     ::difftune::panicImpl(__FILE__, __LINE__, ::difftune::fmtStr(__VA_ARGS__))
-#define fatal(...) \
-    ::difftune::fatalImpl(__FILE__, __LINE__, ::difftune::fmtStr(__VA_ARGS__))
+#define fatal(...) ::difftune::fatalImpl(::difftune::fmtStr(__VA_ARGS__))
 #define warn(...) ::difftune::warnImpl(::difftune::fmtStr(__VA_ARGS__))
 #define inform(...) ::difftune::informImpl(::difftune::fmtStr(__VA_ARGS__))
 

@@ -17,9 +17,8 @@
  * exactly like makeInstruction + toString normalize an instruction
  * (an immediate on an opcode that takes none is dropped, stack-op
  * memory refs are collapsed), so a BlockId is 1:1 with a canonical
- * form. Interned ids then key the serving LRUs and the
- * instruction-hidden memo (surrogate::InstHiddenCache) — a uint32
- * compare instead of a string compare on the hot path.
+ * form. Interned ids then key the serving prediction cache — a
+ * uint32 compare instead of a string compare on the hot path.
  *
  * # Storage, lifetime and thread safety
  *
@@ -35,11 +34,11 @@
  *
  * # Capacity
  *
- * Bounded like InstHiddenCache: at capacity the tables stop
- * interning and return invalidInstId / invalidBlockId, and callers
- * fall back to their uninterned path (the serving engine serves such
- * blocks without canonical-level caching — results are unchanged,
- * only speed). Each instruction's token sequence is encoded once at
+ * Bounded: at capacity the tables stop interning (no eviction) and
+ * return invalidInstId / invalidBlockId, and callers fall back to
+ * their uninterned path (the serving engine serves such blocks
+ * without canonical-level caching — results are unchanged, only
+ * speed). Each instruction's token sequence is encoded once at
  * intern time, so an interned block also carries its model-ready
  * token lanes.
  */
@@ -73,7 +72,7 @@ class Interner
   public:
     /**
      * @param max_insts instruction-table capacity (stop-interning
-     *        bound, like InstHiddenCache)
+     *        bound)
      * @param max_blocks block-table capacity
      */
     explicit Interner(size_t max_insts = size_t(1) << 17,

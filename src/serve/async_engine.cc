@@ -5,9 +5,10 @@
  * Locking order (always take in this order, never hold both unless
  * noted): queueMutex_ guards only the request queues and the stop
  * flag; batchMutex_ guards the synchronous executor set and is held
- * across a whole serveBatch; the cache stripes are leaf locks taken
- * under either or neither. A dispatcher serves with no queue lock
- * held, so clients keep submitting while a batch runs.
+ * across a whole serveBatch; the cache stripes and the instruction
+ * memo's mutex are leaf locks taken under either or neither. A
+ * dispatcher serves with no queue lock held, so clients keep
+ * submitting while a batch runs.
  */
 
 #include "serve/async_engine.hh"
@@ -105,11 +106,10 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
     }
     snapshot_ = artifact_.weights;
 
-    // One executor + instruction-hidden memo per shard, all
-    // borrowing the one snapshot: the panel packing and every input
-    // projection happen once per engine (or once per *artifact*,
-    // when engines share), not once per shard. The dispatchers
-    // start lazily on the first submit.
+    // One executor per shard, all borrowing the one snapshot: the
+    // panel packing and every input projection happen once per
+    // engine (or once per *artifact*, when engines share), not once
+    // per shard. The dispatchers start lazily on the first submit.
     shards_.reserve(size_t(workers_));
     for (int shard = 0; shard < workers_; ++shard) {
         shards_.emplace_back();
@@ -153,6 +153,8 @@ AsyncEngine::registerMetrics()
                 {"forwards", &stats_.forwards},
                 {"batches", &stats_.batches},
                 {"intern_hits", &stats_.internHits},
+                {"inst_hits", &stats_.instHits},
+                {"token_lanes", &stats_.tokenLanes},
             };
         for (const auto &[field, source] : mirrors) {
             registry_->linkCounter(p + field, source);
@@ -548,11 +550,9 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
     const size_t count = hi - lo;
     std::vector<surrogate::EncodedBlock> encoded;
     std::vector<const surrogate::EncodedBlock *> blocks;
-    std::vector<const std::vector<isa::InstId> *> inst_ids;
     std::vector<std::vector<const nn::Tensor *>> inst_params;
     encoded.reserve(count);
     blocks.reserve(count);
-    inst_ids.reserve(count);
     for (size_t m = lo; m < hi; ++m) {
         const Miss &miss = misses[m];
         // Per-miss token-lane span; executors record concurrently
@@ -563,14 +563,14 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
             // interner's per-instruction token storage (exactly
             // encodeBlock's output — intern.hh stores the canonical
             // encoding at intern time).
-            inst_ids.push_back(&interner_.instIds(miss.id));
+            const std::vector<isa::InstId> &ids =
+                interner_.instIds(miss.id);
             surrogate::EncodedBlock &lanes = encoded.emplace_back();
-            lanes.reserve(inst_ids.back()->size());
-            for (isa::InstId inst : *inst_ids.back())
+            lanes.reserve(ids.size());
+            for (isa::InstId inst : ids)
                 lanes.push_back(interner_.tokens(inst));
         } else {
             // Interner full: encode from the parsed block.
-            inst_ids.push_back(nullptr);
             encoded.push_back(surrogate::encodeBlock(miss.block));
         }
     }
@@ -587,8 +587,11 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
         }
     }
     std::vector<double> heads;
-    artifact_.model->predictBatch(bf, blocks, inst_params, heads,
-                                  &sh.instCache, &inst_ids);
+    const surrogate::TokenLevelCounts counts =
+        artifact_.model->predictBatch(bf, blocks, inst_params, heads,
+                                      &instCache_);
+    stats_.instHits += counts.instHits;
+    stats_.tokenLanes += counts.tokenLanes;
     // Same expression as Graph::exp (the sequential path's final
     // node), so the batched prediction is bit-identical to
     // forwardEncoded's.

@@ -18,8 +18,10 @@
  *  - **Thread safety.** Any number of client threads may call any
  *    combination of submit / submitAll / predict / predictAll
  *    concurrently. Caches are sharded-mutex LRUs and stats are
- *    atomic. The synchronous calls share one executor set behind a
- *    batch mutex and parallelize over its shards.
+ *    atomic. Every executor shares the engine's one instruction
+ *    memo (surrogate::InstHiddenCache), which takes its own mutex
+ *    twice per batch. The synchronous calls share one executor set
+ *    behind a batch mutex and parallelize over its shards.
  *
  *  - **Async micro-batched submission.** submit(text) returns a
  *    std::future immediately. AsyncConfig::workers dispatchers
@@ -165,6 +167,13 @@ struct ServeStats
      * still go on to a prediction-cache hit or a forward pass.
      */
     std::atomic<uint64_t> internHits{0};
+    /**
+     * Forwarded instructions served from the engine's instruction
+     * memo, and token-LSTM lanes run (surrogate::TokenLevelCounts).
+     * Outside the reconciliation, like internHits.
+     */
+    std::atomic<uint64_t> instHits{0};
+    std::atomic<uint64_t> tokenLanes{0};
 };
 
 /**
@@ -339,11 +348,10 @@ class AsyncEngine
      */
     std::optional<double> frontProbe(const std::string &text);
 
-    /** Per-shard executor + instruction-hidden memo (speed only). */
+    /** One executor: a shard's private lane scratch. */
     struct Shard
     {
         std::unique_ptr<nn::BatchedForward> batched;
-        surrogate::InstHiddenCache instCache;
     };
 
     /**
@@ -398,9 +406,9 @@ class AsyncEngine
     std::vector<Shard> shards_;
 
     /**
-     * Serializes batch execution (the shard executors and their
-     * instruction caches are single-batch state). Cache probes and
-     * the queue do not take this lock.
+     * Serializes batch execution on shards_ (an executor is
+     * single-batch state). Cache probes and the queue do not take
+     * this lock.
      */
     std::mutex batchMutex_;
 
@@ -416,6 +424,9 @@ class AsyncEngine
     ShardedLruCache<std::string, double> textCache_;
     /** Main cache: interned canonical block -> prediction. */
     ShardedLruCache<isa::BlockId, double> cache_;
+    /** Token sequence -> token-LSTM state, shared by every
+     *  executor of this engine. */
+    surrogate::InstHiddenCache instCache_;
     ServeStats stats_;
 
     /**

@@ -92,38 +92,40 @@ struct LatencyStats
 LatencyStats latencyFromHistogram(const obs::LatencyHistogram &hist);
 
 /**
- * Results of compareAsyncClients: a single-caller synchronous pass
- * versus @p threads concurrent client threads submitting through
- * the AsyncEngine micro-batcher. Both passes serve the full
- * workload on a fresh engine (cold caches).
+ * Results of compareAsyncClients: interleaved pairs of a
+ * single-caller synchronous pass and a @p threads-client async pass
+ * over the same workload, each pass on a fresh engine (cold
+ * caches).
  */
 struct AsyncClientComparison
 {
-    double singleSeconds = 0.0; ///< 1 thread, sync predict/request
-    double asyncSeconds = 0.0;  ///< threads x async submit + get
+    double singleSeconds = 0.0; ///< median single-caller pass
+    double asyncSeconds = 0.0;  ///< median async pass
     int threads = 0;
-    LatencyStats latency; ///< async per-request submit-to-get time
-
-    /** Aggregate multi-client speedup over single-caller. */
-    double speedup() const { return singleSeconds / asyncSeconds; }
+    int pairs = 0; ///< pass pairs run
+    /** Aggregate multi-client speedup over single-caller: the
+     *  median of the per-pair time ratios. */
+    double speedup = 0.0;
+    LatencyStats latency; ///< async submit-to-get, every async pass
 };
 
 /**
- * Measure what the micro-batcher buys concurrent traffic: one
- * client thread calling the synchronous path block-at-a-time versus
+ * Measure what the dispatchers buy concurrent traffic: one client
+ * thread calling the synchronous path block-at-a-time versus
  * @p threads client threads each submitting its interleaved share
  * of @p workload through AsyncEngine::submit and blocking on the
  * future (at most @p threads requests in flight, as with real
- * users). Each pass runs on a fresh engine built from @p artifact —
- * the engines share @p artifact's WeightSnapshot, so the comparison
- * also exercises cross-engine weight sharing. Every prediction of
- * both passes is checked bit-exact against @p reference.
+ * users). Runs at least three interleaved pass pairs, and more until
+ * the passes add up to two seconds. Each pass runs on a fresh engine
+ * built from @p artifact — the engines share @p artifact's
+ * WeightSnapshot, so the comparison also exercises cross-engine
+ * weight sharing. Every prediction of every pass is checked
+ * bit-exact against @p reference.
  */
 AsyncClientComparison
 compareAsyncClients(const io::ModelSnapshot &artifact,
                     const std::vector<std::string> &workload,
-                    int threads, const NaiveRun &reference,
-                    const AsyncConfig &config = {});
+                    int threads, const NaiveRun &reference);
 
 /**
  * Results of runDaemonClients: one prediction slot per request

@@ -5,55 +5,8 @@
 
 #include "surrogate/model.hh"
 
-#include <algorithm>
-
-#include "obs/metrics.hh"
-
 namespace difftune::surrogate
 {
-
-namespace
-{
-
-/**
- * Process-wide batched-forward telemetry, resolved from the global
- * registry on the first batched call (per obs's contract that
- * instrumentation samples the kill switch when constructed). All
- * pointers stay null when observability was disabled at that point;
- * enabled() is still consulted per call so a setEnabled(false) run
- * measured against an earlier-enabled process stays quiet.
- */
-struct PredictBatchMetrics
-{
-    obs::Counter *calls = nullptr;
-    obs::Counter *blocks = nullptr;
-    obs::Counter *instCacheHits = nullptr;
-    obs::Counter *tokenLanes = nullptr;
-    obs::LatencyHistogram *width = nullptr;
-};
-
-const PredictBatchMetrics &
-predictBatchMetrics()
-{
-    static const PredictBatchMetrics metrics = [] {
-        PredictBatchMetrics m;
-        if (!obs::enabled())
-            return m;
-        obs::MetricRegistry &reg = obs::MetricRegistry::global();
-        m.calls = &reg.counter("surrogate.predict_batch.calls");
-        m.blocks = &reg.counter("surrogate.predict_batch.blocks");
-        m.instCacheHits =
-            &reg.counter("surrogate.predict_batch.inst_cache_hits");
-        m.tokenLanes =
-            &reg.counter("surrogate.predict_batch.token_lanes");
-        m.width =
-            &reg.histogram("surrogate.predict_batch.width");
-        return m;
-    }();
-    return metrics;
-}
-
-} // namespace
 
 Model::Model(const ModelConfig &config, size_t vocab_size)
     : config_(config)
@@ -96,14 +49,12 @@ Model::forward(nn::Ctx &ctx, const EncodedBlock &block,
     return head_->forward(ctx, block_vec);
 }
 
-void
+TokenLevelCounts
 Model::predictBatch(
     nn::BatchedForward &bf,
     const std::vector<const EncodedBlock *> &blocks,
     const std::vector<std::vector<const nn::Tensor *>> &inst_params,
-    std::vector<double> &out, InstHiddenCache *inst_cache,
-    const std::vector<const std::vector<isa::InstId> *> *inst_ids)
-    const
+    std::vector<double> &out, InstHiddenCache *inst_cache) const
 {
     const bool has_params = config_.paramDim > 0;
     panic_if(has_params ? inst_params.size() != blocks.size()
@@ -111,89 +62,83 @@ Model::predictBatch(
              "predictBatch: {} parameter-input blocks for {} blocks "
              "(paramDim {})",
              inst_params.size(), blocks.size(), config_.paramDim);
-    panic_if(inst_cache && !inst_ids,
-             "predictBatch: the cross-batch cache is keyed by "
-             "interned ids; pass inst_ids alongside inst_cache");
-    panic_if(inst_ids && inst_ids->size() != blocks.size(),
-             "predictBatch: {} id sequences for {} blocks",
-             inst_ids->size(), blocks.size());
     out.resize(blocks.size());
+    TokenLevelCounts counts;
     if (blocks.empty())
-        return;
+        return counts;
 
-    // Token level: one lane per *distinct* instruction across the
-    // whole batch (embedding rows gathered straight from the table).
-    // Instructions found in inst_cache skip the LSTM entirely.
-    // Distinctness is a u32 probe when the caller interned the
-    // instruction; only invalid-id instructions (interner full) pay
-    // the token-vector hash, and those never enter the cross-batch
-    // cache.
-    struct InstSrc
+    // Token level: one source per *distinct* token sequence across
+    // the whole batch, the memo's key.
+    using TokenSeq = std::vector<isa::TokenId>;
+    std::unordered_map<TokenSeq, uint32_t, InstHiddenCache::TokenSeqHash>
+        distinct_of;
+    std::vector<const TokenSeq *> distinct;
+    std::vector<uint32_t> inst_source; ///< per occurrence, batch order
+    for (const EncodedBlock *block : blocks) {
+        panic_if(block->empty(), "predictBatch on an empty block");
+        for (const TokenSeq &tokens : *block) {
+            auto [slot, fresh] =
+                distinct_of.try_emplace(tokens, uint32_t(distinct.size()));
+            if (fresh)
+                distinct.push_back(&tokens);
+            inst_source.push_back(slot->second);
+        }
+    }
+
+    // One locked pass probes the memo for every distinct sequence.
+    // A hit's value is immutable and never evicted, so it is read
+    // outside the lock below.
+    struct Source
     {
         int lane = -1; ///< token lane in this batch, or -1
         const std::vector<double> *cached = nullptr;
     };
-    std::vector<InstSrc> sources;
-    std::unordered_map<isa::InstId, int> id_lanes;
-    std::unordered_map<std::vector<isa::TokenId>, int,
-                       InstHiddenCache::TokenSeqHash>
-        token_lanes;
-    auto addTokenLane = [&](const std::vector<isa::TokenId> &tokens,
-                            int &lane) {
-        if (lane >= 0)
-            return;
-        lane = bf.addLane(int(tokens.size()));
+    std::vector<Source> sources(distinct.size());
+    if (inst_cache) {
+        std::lock_guard lock(inst_cache->mutex_);
+        for (size_t d = 0; d < distinct.size(); ++d) {
+            auto hit = inst_cache->map_.find(*distinct[d]);
+            if (hit != inst_cache->map_.end())
+                sources[d].cached = &hit->second;
+        }
+    }
+
+    // The rest run the token LSTM, embedding rows gathered straight
+    // from the table.
+    bf.begin(config_.embedDim);
+    for (size_t d = 0; d < distinct.size(); ++d) {
+        if (sources[d].cached)
+            continue;
+        const TokenSeq &tokens = *distinct[d];
+        const int lane = bf.addLane(int(tokens.size()));
         for (size_t t = 0; t < tokens.size(); ++t)
             bf.setInputParamRow(lane, int(t), 0,
                                 embed_->tableIndex(),
                                 int(tokens[t]));
-    };
-    bf.begin(config_.embedDim);
-    for (size_t b = 0; b < blocks.size(); ++b) {
-        const EncodedBlock *block = blocks[b];
-        panic_if(block->empty(), "predictBatch on an empty block");
-        const std::vector<isa::InstId> *ids =
-            inst_ids ? (*inst_ids)[b] : nullptr;
-        panic_if(ids && ids->size() != block->size(),
-                 "predictBatch: block {} has {} interned ids for "
-                 "{} instructions",
-                 b, ids->size(), block->size());
-        for (size_t i = 0; i < block->size(); ++i) {
-            const std::vector<isa::TokenId> &tokens = (*block)[i];
-            const isa::InstId id =
-                ids ? (*ids)[i] : isa::invalidInstId;
-            InstSrc src;
-            if (id != isa::invalidInstId) {
-                if (inst_cache) {
-                    auto hit = inst_cache->map_.find(id);
-                    if (hit != inst_cache->map_.end()) {
-                        src.cached = &hit->second;
-                        sources.push_back(src);
-                        continue;
-                    }
-                }
-                auto [slot, fresh] = id_lanes.try_emplace(id, -1);
-                if (fresh)
-                    addTokenLane(tokens, slot->second);
-                src.lane = slot->second;
-            } else {
-                auto [slot, fresh] =
-                    token_lanes.try_emplace(tokens, -1);
-                if (fresh)
-                    addTokenLane(tokens, slot->second);
-                src.lane = slot->second;
-            }
-            sources.push_back(src);
-        }
+        sources[d].lane = lane;
+        ++counts.tokenLanes;
     }
     bf.run(tokenLstm_->batchedRef());
-    if (inst_cache) {
-        for (auto &[id, lane] : id_lanes) {
+
+    // Publish the new lanes: copies are made before the lock, and a
+    // sibling that published the same sequence first keeps its
+    // (identical) entry.
+    if (inst_cache && counts.tokenLanes > 0) {
+        std::vector<std::pair<TokenSeq, std::vector<double>>> fresh;
+        fresh.reserve(size_t(counts.tokenLanes));
+        for (size_t d = 0; d < distinct.size(); ++d) {
+            if (sources[d].lane < 0)
+                continue;
+            std::vector<double> hidden(size_t(config_.hidden));
+            bf.finalHidden(sources[d].lane, hidden.data());
+            fresh.emplace_back(*distinct[d], std::move(hidden));
+        }
+        std::lock_guard lock(inst_cache->mutex_);
+        for (auto &[tokens, hidden] : fresh) {
             if (inst_cache->map_.size() >= inst_cache->capacity_)
                 break;
-            std::vector<double> hidden(size_t(config_.hidden));
-            bf.finalHidden(lane, hidden.data());
-            inst_cache->map_.emplace(id, std::move(hidden));
+            inst_cache->map_.try_emplace(std::move(tokens),
+                                         std::move(hidden));
         }
     }
 
@@ -212,12 +157,14 @@ Model::predictBatch(
                  b, inst_params[b].size(), block.size());
         const int lane = bf.addLane(int(block.size()));
         for (size_t i = 0; i < block.size(); ++i, ++inst) {
-            const InstSrc &src = sources[inst];
-            if (src.cached)
+            const Source &src = sources[inst_source[inst]];
+            if (src.cached) {
                 bf.setInput(lane, int(i), 0, src.cached->data(),
                             config_.hidden);
-            else
+                ++counts.instHits;
+            } else {
                 bf.setInputPrevHidden(lane, int(i), 0, src.lane);
+            }
             if (has_params) {
                 const nn::Tensor &col = *inst_params[b][i];
                 panic_if(col.rows != config_.paramDim ||
@@ -232,20 +179,7 @@ Model::predictBatch(
     }
     bf.run(blockLstm_->batchedRef());
     bf.headAll(head_->batchedRef(), out.data());
-
-    // A handful of relaxed atomic bumps per *batch* (not per block):
-    // negligible next to the two LSTM sweeps above. Thread-safe —
-    // concurrent shard executors land on the same counters.
-    const PredictBatchMetrics &m = predictBatchMetrics();
-    if (m.calls != nullptr && obs::enabled()) {
-        m.calls->inc();
-        m.blocks->inc(blocks.size());
-        m.instCacheHits->inc(uint64_t(std::count_if(
-            sources.begin(), sources.end(),
-            [](const InstSrc &src) { return src.cached != nullptr; })));
-        m.tokenLanes->inc(id_lanes.size() + token_lanes.size());
-        m.width->record(blocks.size());
-    }
+    return counts;
 }
 
 double

@@ -20,9 +20,9 @@
 #define DIFFTUNE_SURROGATE_MODEL_HH
 
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 
-#include "isa/intern.hh"
 #include "isa/tokens.hh"
 #include "nn/modules.hh"
 
@@ -33,22 +33,26 @@ namespace difftune::surrogate
 using EncodedBlock = std::vector<std::vector<isa::TokenId>>;
 
 /**
- * Memo table from an instruction's interned id (isa::InstId) to its
- * token-level LSTM hidden state, for batched inference over *frozen*
- * weights (Model::predictBatch): with the weights fixed, that hidden
- * state is a pure function of the token sequence, and an InstId
- * names exactly one canonical token sequence (isa/intern.hh), so
- * instructions shared across blocks — pervasive in real block
- * corpora — skip the token LSTM entirely on every reuse at the cost
- * of one u32 hash probe instead of a token-vector hash. Reuse is
- * bit-exact: the stored vector is the exact value the executor
+ * Memo table from an instruction's token sequence to its token-level
+ * LSTM hidden state, for batched inference over *frozen* weights
+ * (Model::predictBatch). With the weights fixed, that hidden state
+ * is a pure function of the token sequence, and the tokenizer folds
+ * immediates and memory operands into CONST / MEM (isa/tokens.hh):
+ * `ADD64ri $1, %rax` and `ADD64ri $2, %rax` share one entry.
+ * Instructions shared across blocks — pervasive in real block
+ * corpora — therefore skip the token LSTM on every reuse. Reuse is
+ * bit-exact: the stored vector is the exact value an executor
  * produced.
  *
- * Bounded: at @p capacity entries the cache stops inserting (no
- * eviction — the instruction vocabulary of a serving workload is
- * small and stable). Not thread-safe: give each serving shard its
- * own (caches only affect speed, never results, so sharding them
- * preserves determinism).
+ * Thread-safe: executors bound to the same frozen weights may share
+ * one memo (a serving engine keeps exactly one). predictBatch takes
+ * its mutex once per batch to probe every instruction and once to
+ * publish the new lanes; of two identical values published
+ * concurrently, the first wins.
+ *
+ * Bounded: at @p capacity entries the memo stops inserting, and it
+ * never evicts, so a hit's value stays valid outside the lock for
+ * the memo's lifetime (unordered_map references survive rehashing).
  */
 class InstHiddenCache
 {
@@ -58,7 +62,12 @@ class InstHiddenCache
     {
     }
 
-    size_t size() const { return map_.size(); }
+    size_t
+    size() const
+    {
+        std::lock_guard lock(mutex_);
+        return map_.size();
+    }
 
   private:
     friend class Model;
@@ -78,8 +87,18 @@ class InstHiddenCache
         }
     };
 
-    size_t capacity_;
-    std::unordered_map<isa::InstId, std::vector<double>> map_;
+    const size_t capacity_;
+    mutable std::mutex mutex_;
+    std::unordered_map<std::vector<isa::TokenId>, std::vector<double>,
+                       TokenSeqHash>
+        map_;
+};
+
+/** What one Model::predictBatch call did at the token level. */
+struct TokenLevelCounts
+{
+    uint64_t instHits = 0;   ///< instructions served from the memo
+    uint64_t tokenLanes = 0; ///< token-LSTM lanes run
 };
 
 /** Model hyperparameters. */
@@ -125,36 +144,26 @@ class Model
      * The results are bit-identical to running forward() per
      * block.
      *
-     * Identical instructions are deduplicated within the batch (one
-     * token-level lane serves every occurrence), and, when
-     * @p inst_cache is given, across batches too — valid whenever
-     * the weights are frozen between calls, as in serving.
-     *
-     * Cross-batch caching is keyed by interned instruction ids:
-     * when @p inst_cache is given, @p inst_ids must be given too
-     * (one id sequence per block, aligned with its instructions,
-     * from the same isa::Interner for the cache's whole lifetime).
-     * Instructions carrying isa::invalidInstId — the interner's
-     * table was full — still deduplicate within the batch by token
-     * sequence; they just never enter the cross-batch cache.
+     * Instructions with identical token sequences are deduplicated
+     * within the batch (one token-level lane serves every
+     * occurrence), and, when @p inst_cache is given, across batches
+     * and executors too — valid whenever the weights are frozen
+     * while the memo lives, as in serving.
      *
      * @param inst_params per-block, per-instruction parameter-input
      *        columns (each paramDim x 1); must be empty iff the
      *        config's paramDim is 0
-     * @param inst_cache optional cross-batch instruction-hidden
-     *        memo table (see InstHiddenCache)
-     * @param inst_ids per-block interned instruction ids (null
-     *        entries allowed per block); required with @p inst_cache
+     * @param inst_cache optional instruction-hidden memo, shareable
+     *        across threads (see InstHiddenCache)
+     * @return the memo hits and token lanes of this call
      */
-    void predictBatch(
+    TokenLevelCounts predictBatch(
         nn::BatchedForward &bf,
         const std::vector<const EncodedBlock *> &blocks,
         const std::vector<std::vector<const nn::Tensor *>>
             &inst_params,
         std::vector<double> &out,
-        InstHiddenCache *inst_cache = nullptr,
-        const std::vector<const std::vector<isa::InstId> *>
-            *inst_ids = nullptr) const;
+        InstHiddenCache *inst_cache = nullptr) const;
 
     const ModelConfig &config() const { return config_; }
     nn::ParamSet &params() { return params_; }

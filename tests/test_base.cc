@@ -53,7 +53,23 @@ TEST(FmtStr, StringsAndChars)
 
 TEST(Logging, FatalThrows)
 {
-    EXPECT_THROW(fatalImpl("f", 1, "boom"), std::runtime_error);
+    try {
+        fatal("boom {}", 7);
+        FAIL() << "fatal returned";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(), "fatal: boom 7");
+    }
+}
+
+TEST(Logging, FatalWritesNothingToStderr)
+{
+    // The caller reports the error (a CLI main prints what() once)
+    // or handles it (an engine answers it through a future); fatal
+    // itself must not print, or every catch-and-rethrow repeats it.
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(fatal("quiet {}", 1), std::runtime_error);
+    EXPECT_THROW(fatal_if(true, "quiet too"), std::runtime_error);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(Logging, FatalIfRespectsCondition)

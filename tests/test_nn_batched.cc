@@ -10,14 +10,22 @@
  *    lengths (the per-lane length-masking path);
  *  - batches reuse the executor's scratch: interleaving batches of
  *    different shapes through one BatchedForward never changes a
- *    result.
+ *    result;
+ *  - the instruction memo (surrogate::InstHiddenCache) is keyed by
+ *    token sequence and may be shared by concurrent executors
+ *    without changing a bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "base/random.hh"
+#include "bhive/corpus.hh"
 #include "core/raw_table.hh"
 #include "hw/default_table.hh"
 #include "isa/parse.hh"
@@ -202,6 +210,127 @@ TEST(NnBatched, SurrogateModeMatchesSequentialBitExact)
             model.forward(ctx, encoded[b], inputs));
         EXPECT_TRUE(sameBits(batched[b], expected)) << "block " << b;
     }
+}
+
+TEST(NnBatched, InstMemoKeysByTokenSequence)
+{
+    // The tokenizer folds immediates and displacements into CONST /
+    // MEM, so instructions that differ only there share one token
+    // sequence: one lane within a batch, one memo entry across
+    // batches, and the second forward runs no token lane.
+    const surrogate::Model model(testConfig(0),
+                                 isa::theVocab().size());
+    nn::BatchedForward bf(model.params());
+    const std::pair<const char *, const char *> twins[] = {
+        {"ADD64ri $1, %rax\n", "ADD64ri $2, %rax\n"},
+        {"MOV64rm 8(%rsi), %rdi\n", "MOV64rm 16(%rsi), %rdi\n"},
+    };
+    for (const auto &[first, second] : twins) {
+        const auto encoded = encodeAll({first, second});
+        ASSERT_EQ(encoded[0], encoded[1]) << first;
+        std::vector<double> heads;
+        const surrogate::TokenLevelCounts both =
+            model.predictBatch(bf, {&encoded[0], &encoded[1]}, {}, heads);
+        EXPECT_EQ(both.tokenLanes, 1u) << first;
+        EXPECT_EQ(both.instHits, 0u) << first;
+
+        surrogate::InstHiddenCache memo;
+        const surrogate::TokenLevelCounts cold =
+            model.predictBatch(bf, {&encoded[0]}, {}, heads, &memo);
+        EXPECT_EQ(cold.tokenLanes, 1u) << first;
+        EXPECT_EQ(cold.instHits, 0u) << first;
+        EXPECT_EQ(memo.size(), 1u) << first;
+        const surrogate::TokenLevelCounts warm =
+            model.predictBatch(bf, {&encoded[1]}, {}, heads, &memo);
+        EXPECT_EQ(warm.tokenLanes, 0u) << second;
+        EXPECT_EQ(warm.instHits, 1u) << second;
+        EXPECT_EQ(memo.size(), 1u) << second;
+        EXPECT_TRUE(sameBits(heads[0], model.predict(encoded[1])))
+            << second;
+    }
+}
+
+TEST(NnBatched, SharedInstMemoAcrossThreadsIsBitExact)
+{
+    // One memo shared by four executors on one snapshot, as a
+    // serving engine shares it across its dispatchers: each thread
+    // runs overlapping block sets in its own order for several
+    // rounds, probing and publishing concurrently, and every head
+    // must equal the memo-less forward bit for bit.
+    const core::ParamNormalizer norm(params::SamplingDist::full());
+    auto model = std::make_shared<const surrogate::Model>(
+        testConfig(norm.paramDim()), isa::theVocab().size());
+    const params::ParamTable table =
+        hw::defaultTable(hw::Uarch::Haswell);
+    std::vector<nn::Tensor> per_opcode;
+    for (size_t op = 0; op < table.numOpcodes(); ++op)
+        per_opcode.push_back(core::opcodeParamInput(
+            table, isa::OpcodeId(op), norm));
+
+    const bhive::Corpus corpus = bhive::Corpus::generate(40, 0x3e3);
+    std::vector<surrogate::EncodedBlock> encoded;
+    std::vector<std::vector<const nn::Tensor *>> columns;
+    for (size_t i = 0; i < corpus.size(); ++i) {
+        encoded.push_back(surrogate::encodeBlock(corpus[i].block));
+        columns.emplace_back();
+        for (const auto &inst : corpus[i].block.insts)
+            columns.back().push_back(
+                &per_opcode[size_t(inst.opcode)]);
+    }
+    const auto snapshot = surrogate::makeWeightSnapshot(model);
+    std::vector<double> expected;
+    {
+        std::vector<const surrogate::EncodedBlock *> all;
+        for (const auto &e : encoded)
+            all.push_back(&e);
+        nn::BatchedForward bf(snapshot);
+        model->predictBatch(bf, all, columns, expected);
+    }
+
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 6;
+    // Executors bind on this thread, as an engine builds its own.
+    std::vector<std::unique_ptr<nn::BatchedForward>> executors;
+    for (int t = 0; t < kThreads; ++t)
+        executors.push_back(
+            std::make_unique<nn::BatchedForward>(snapshot));
+    surrogate::InstHiddenCache memo;
+    std::atomic<int> mismatches{0};
+    std::atomic<uint64_t> hits{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Rng rng(0x5eed + uint64_t(t));
+            for (int round = 0; round < kRounds; ++round) {
+                // Two thirds of the corpus, a different two thirds
+                // per thread and round, shuffled.
+                std::vector<size_t> picks;
+                for (size_t i = 0; i < encoded.size(); ++i)
+                    if ((i + size_t(t + round)) % 3 != 0)
+                        picks.push_back(i);
+                rng.shuffle(picks);
+                std::vector<const surrogate::EncodedBlock *> batch;
+                std::vector<std::vector<const nn::Tensor *>> params;
+                for (size_t i : picks) {
+                    batch.push_back(&encoded[i]);
+                    params.push_back(columns[i]);
+                }
+                std::vector<double> heads;
+                const surrogate::TokenLevelCounts counts =
+                    model->predictBatch(*executors[size_t(t)], batch,
+                                        params, heads, &memo);
+                hits += counts.instHits;
+                for (size_t k = 0; k < picks.size(); ++k)
+                    if (!sameBits(heads[k], expected[picks[k]]))
+                        ++mismatches;
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_GT(memo.size(), 0u);
+    EXPECT_GT(hits.load(), 0u);
 }
 
 } // namespace

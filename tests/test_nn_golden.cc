@@ -400,37 +400,24 @@ TEST(NnGolden, BatchedForwardMatchesGoldenBitExactly)
             per_opcode.push_back(core::opcodeParamInput(
                 table, isa::OpcodeId(op), norm));
         std::vector<std::vector<const nn::Tensor *>> inst_params;
-        // The cross-batch cache is keyed by interned ids now: give
-        // every block its id sequence from one Interner.
-        isa::Interner interner;
-        std::vector<std::vector<isa::InstId>> id_storage;
         for (const auto &text : goldenBlocks()) {
             const isa::BasicBlock block = isa::parseBlock(text);
             inst_params.emplace_back();
-            id_storage.emplace_back();
-            for (const auto &inst : block.insts) {
+            for (const auto &inst : block.insts)
                 inst_params.back().push_back(
                     &per_opcode[size_t(inst.opcode)]);
-                id_storage.back().push_back(
-                    interner.internInst(inst));
-            }
         }
-        std::vector<const std::vector<isa::InstId> *> inst_ids;
-        for (const auto &ids : id_storage)
-            inst_ids.push_back(&ids);
         nn::BatchedForward bf(model.params());
         surrogate::InstHiddenCache cache;
         std::vector<double> heads;
-        model.predictBatch(bf, batch, inst_params, heads, &cache,
-                           &inst_ids);
+        model.predictBatch(bf, batch, inst_params, heads, &cache);
         for (size_t i = 0; i < heads.size(); ++i)
             expect("surrogate_pred", i,
                    std::exp(std::min(heads[i], 30.0)));
         // A rerun through the now-warm instruction cache must not
         // change a bit either.
         std::vector<double> again;
-        model.predictBatch(bf, batch, inst_params, again, &cache,
-                           &inst_ids);
+        model.predictBatch(bf, batch, inst_params, again, &cache);
         EXPECT_GT(cache.size(), 0u);
         for (size_t i = 0; i < heads.size(); ++i)
             EXPECT_EQ(bits(heads[i]), bits(again[i])) << i;

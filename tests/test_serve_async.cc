@@ -26,6 +26,7 @@
 #include "core/raw_table.hh"
 #include "hw/default_table.hh"
 #include "isa/parse.hh"
+#include "obs/export.hh"
 #include "serve/async_engine.hh"
 
 namespace difftune::serve
@@ -389,6 +390,45 @@ TEST(AsyncEngine, PoolQueueMetricsReconcile)
             registry.histogram("poolrec.request_ns").snapshot();
         EXPECT_EQ(requests.count(), texts.size()) << workers;
     }
+}
+
+TEST(AsyncEngine, InstMemoCountsLandInTheEngineRegistry)
+{
+    // The engine keeps one instruction memo, keyed by token sequence
+    // and shared by every dispatcher: two blocks that differ only in
+    // an immediate and a displacement forward twice, but the second
+    // forward runs no token lane. The memo's hit and lane counts are
+    // ServeStats counters mirrored under the engine's prefix in its
+    // own registry; nothing lands in the global one.
+    obs::MetricRegistry registry;
+    AsyncConfig cfg;
+    cfg.workers = 4;
+    cfg.registry = &registry;
+    cfg.metricPrefix = "memo";
+    AsyncEngine engine(surrogateCheckpoint(), cfg);
+    const std::string first =
+        "ADD64ri $1, %rax\nMOV64rm 8(%rsi), %rdi\n";
+    const std::string second =
+        "ADD64ri $2, %rax\nMOV64rm 16(%rsi), %rdi\n";
+    EXPECT_TRUE(sameBits(engine.submit(first).get(),
+                         engine.predictUncached(first)));
+    EXPECT_TRUE(sameBits(engine.submit(second).get(),
+                         engine.predictUncached(second)));
+    engine.shutdown();
+
+    const ServeStats &stats = engine.stats();
+    EXPECT_EQ(stats.forwards.load(), 2u);
+    EXPECT_EQ(stats.tokenLanes.load(), 2u);
+    EXPECT_EQ(stats.instHits.load(), 2u);
+    EXPECT_EQ(stats.requests.load(), stats.hits + stats.misses);
+    const std::string dump = obs::renderStatsz(registry);
+    EXPECT_EQ(obs::statszCounter(dump, "memo.token_lanes").value_or(0),
+              2u);
+    EXPECT_EQ(obs::statszCounter(dump, "memo.inst_hits").value_or(0),
+              2u);
+    const std::string global = obs::renderStatsz();
+    EXPECT_EQ(global.find("memo."), std::string::npos);
+    EXPECT_EQ(global.find("predict_batch"), std::string::npos);
 }
 
 TEST(AsyncEngine, QueuedMissesNeverWaitOnTheForkJoinPool)
