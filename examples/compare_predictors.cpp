@@ -11,6 +11,7 @@
 #include <string>
 
 #include "analytical/iaca.hh"
+#include "base/env.hh"
 #include "base/table.hh"
 #include "bhive/dataset.hh"
 #include "core/evaluate.hh"
@@ -36,7 +37,7 @@ run(int argc, char **argv)
                 uarch = candidate;
     }
     const size_t corpus_size =
-        argc > 2 ? std::stoul(argv[2]) : 1200;
+        argc > 2 ? size_t(parseLong("corpus_size", argv[2], 1)) : 1200;
 
     auto corpus = bhive::Corpus::generate(corpus_size, 7);
     bhive::Dataset dataset(corpus, uarch);

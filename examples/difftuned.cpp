@@ -44,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "base/table.hh"
 #include "bhive/corpus.hh"
@@ -61,6 +62,9 @@ namespace
 {
 
 using namespace difftune;
+
+/** Cap on --workers and --threads: each is that many OS threads. */
+constexpr long kMaxThreads = 1024;
 
 /** Self-pipe the signal handlers write to; main blocks reading it. */
 int signalPipe[2] = {-1, -1};
@@ -96,13 +100,15 @@ cmdServe(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--port") {
             fatal_if(i + 1 >= argc, "--port needs a number");
-            cfg.port = uint16_t(std::stoi(argv[++i]));
+            // 0 binds an ephemeral port.
+            cfg.port = uint16_t(parseLong("--port", argv[++i], 0, 65535));
         } else if (arg == "--port-file") {
             fatal_if(i + 1 >= argc, "--port-file needs a path");
             port_file = argv[++i];
         } else if (arg == "--workers") {
             fatal_if(i + 1 >= argc, "--workers needs a count");
-            cfg.registry.engine.workers = std::stoi(argv[++i]);
+            cfg.registry.engine.workers =
+                int(parseLong("--workers", argv[++i], 1, kMaxThreads));
         } else {
             models.push_back(splitModelArg(arg));
         }
@@ -168,13 +174,14 @@ cmdClient(int argc, char **argv)
             model = argv[++i];
         } else if (arg == "--requests") {
             fatal_if(i + 1 >= argc, "--requests needs a count");
-            requests = std::stoul(argv[++i]);
+            requests = size_t(parseLong("--requests", argv[++i], 1));
         } else if (arg == "--unique") {
             fatal_if(i + 1 >= argc, "--unique needs a count");
-            unique = std::stoul(argv[++i]);
+            unique = size_t(parseLong("--unique", argv[++i], 1));
         } else if (arg == "--threads") {
             fatal_if(i + 1 >= argc, "--threads needs a count");
-            threads = std::stoi(argv[++i]);
+            threads =
+                int(parseLong("--threads", argv[++i], 1, kMaxThreads));
         } else if (arg == "--swap") {
             fatal_if(i + 1 >= argc, "--swap needs <name>=<ckpt>");
             swap_arg = argv[++i];
@@ -188,7 +195,7 @@ cmdClient(int argc, char **argv)
              "usage: client <port> [--host H] [--model NAME] "
              "[--requests N] [--unique N] [--threads N] "
              "[--swap NAME=CKPT] [--check]");
-    const uint16_t port = uint16_t(std::stoi(args[2]));
+    const uint16_t port = uint16_t(parseLong("<port>", args[2], 1, 65535));
 
     const auto corpus = bhive::Corpus::generate(unique, 0xbe7c);
     const auto workload = serve::powerLawWorkload(
@@ -302,7 +309,8 @@ cmdSaveTiny(int argc, char **argv)
 {
     fatal_if(argc < 3, "usage: save-tiny <out.ckpt> [seed]");
     const std::string path = argv[2];
-    const uint64_t seed = argc > 3 ? std::stoul(argv[3]) : 5;
+    const uint64_t seed =
+        argc > 3 ? uint64_t(parseLong("seed", argv[3], 0)) : 5;
 
     const params::SamplingDist dist = params::SamplingDist::full();
     const core::ParamNormalizer norm(dist);

@@ -5,6 +5,7 @@
 
 #include "base/env.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <thread>
 
@@ -37,6 +38,23 @@ envLong(const char *name, long default_value)
     fatal_if(end == value, "environment variable {} is not an integer: {}",
              name, value);
     return parsed;
+}
+
+long
+parseLong(const char *what, const std::string &text, long min_value,
+          long max_value)
+{
+    long parsed = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+    if (error == std::errc() && stop == end && parsed >= min_value &&
+        parsed <= max_value)
+        return parsed;
+    if (max_value == std::numeric_limits<long>::max())
+        fatal("{} must be an integer >= {}, got '{}'", what, min_value,
+              text);
+    fatal("{} must be an integer in [{}, {}], got '{}'", what, min_value,
+          max_value, text);
 }
 
 std::string

@@ -10,6 +10,7 @@
 #ifndef DIFFTUNE_BASE_ENV_HH
 #define DIFFTUNE_BASE_ENV_HH
 
+#include <limits>
 #include <string>
 
 namespace difftune
@@ -20,6 +21,15 @@ double envDouble(const char *name, double default_value);
 
 /** Read an environment variable as long, with a default. */
 long envLong(const char *name, long default_value);
+
+/**
+ * Parse a command-line integer: @p text must be base-10 digits with
+ * an optional leading '-' and nothing else, in [@p min_value,
+ * @p max_value]. Anything else is fatal, with a message naming
+ * @p what (the flag or argument) and the allowed range.
+ */
+long parseLong(const char *what, const std::string &text, long min_value,
+               long max_value = std::numeric_limits<long>::max());
 
 /** Read an environment variable as string, with a default. */
 std::string envString(const char *name, const std::string &default_value);

@@ -2,11 +2,12 @@
  * @file
  * Daemon / DaemonClient implementation (POSIX sockets).
  *
- * Framing helpers read and write exact byte counts in loops (TCP
- * fragments at will); integers cross the wire little-endian via
+ * A frame is written with one sendmsg() of its header and payload
+ * and read through a wire::FrameReader; both loop, since TCP splits
+ * and merges at will. Integers cross the wire little-endian via
  * explicit byte assembly, so the format is identical on any host.
- * All writes use send(MSG_NOSIGNAL) — a peer closing mid-response
- * must surface as an error return, not SIGPIPE.
+ * All writes use MSG_NOSIGNAL — a peer closing mid-response must
+ * surface as an error return, not SIGPIPE.
  */
 
 #include "serve/daemon.hh"
@@ -15,10 +16,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "base/logging.hh"
 #include "obs/export.hh"
@@ -29,42 +33,19 @@ namespace difftune::serve
 namespace
 {
 
-/** Read exactly @p n bytes; false on EOF/error. */
-bool
-readExact(int fd, void *buf, size_t n)
-{
-    char *out = static_cast<char *>(buf);
-    while (n > 0) {
-        const ssize_t got = ::recv(fd, out, n, 0);
-        if (got == 0)
-            return false; // orderly EOF
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        out += got;
-        n -= size_t(got);
-    }
-    return true;
-}
+/** Bytes in a frame's length prefix. */
+constexpr size_t kHeaderBytes = 4;
 
-/** Write exactly @p n bytes; false on error (incl. closed peer). */
-bool
-writeExact(int fd, const void *buf, size_t n)
+/** recv() size when the buffer holds less than a frame's worth. */
+constexpr size_t kReadChunk = 4096;
+
+uint32_t
+loadU32(const char *bytes)
 {
-    const char *in = static_cast<const char *>(buf);
-    while (n > 0) {
-        const ssize_t put = ::send(fd, in, n, MSG_NOSIGNAL);
-        if (put < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        in += put;
-        n -= size_t(put);
-    }
-    return true;
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= uint32_t(uint8_t(bytes[i])) << (8 * i);
+    return v;
 }
 
 void
@@ -98,7 +79,7 @@ appendF64(std::string &out, double v)
  */
 struct Reader
 {
-    const std::string &buf;
+    std::string_view buf;
     size_t pos = 0;
 
     bool
@@ -126,10 +107,7 @@ struct Reader
     {
         if (buf.size() - pos < 4)
             return false;
-        out = 0;
-        for (int i = 0; i < 4; ++i)
-            out |= uint32_t(uint8_t(buf[pos + size_t(i)]))
-                   << (8 * i);
+        out = loadU32(buf.data() + pos);
         pos += 4;
         return true;
     }
@@ -153,36 +131,52 @@ struct Reader
     {
         if (buf.size() - pos < n)
             return false;
-        out.assign(buf, pos, n);
+        out.assign(buf.data() + pos, n);
         pos += n;
         return true;
     }
 };
 
-/** Frame a payload and write it. */
+/** Frame @p payload and write it with one sendmsg() per attempt;
+ *  false on error (incl. closed peer). */
 bool
-writeFrame(int fd, const std::string &payload)
+writeFrame(int fd, std::string_view payload)
 {
-    std::string header;
-    appendU32(header, uint32_t(payload.size()));
-    return writeExact(fd, header.data(), header.size()) &&
-           writeExact(fd, payload.data(), payload.size());
-}
-
-/** Read one frame's payload. false on EOF/error/oversize. */
-bool
-readFrame(int fd, size_t max_frame_bytes, std::string &payload)
-{
-    uint8_t header[4];
-    if (!readExact(fd, header, sizeof(header)))
-        return false;
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-        len |= uint32_t(header[i]) << (8 * i);
-    if (size_t(len) > max_frame_bytes)
-        return false;
-    payload.resize(len);
-    return len == 0 || readExact(fd, payload.data(), len);
+    char header[kHeaderBytes];
+    const uint32_t len = uint32_t(payload.size());
+    for (size_t i = 0; i < kHeaderBytes; ++i)
+        header[i] = char((len >> (8 * i)) & 0xff);
+    iovec parts[2];
+    parts[0].iov_base = header;
+    parts[0].iov_len = kHeaderBytes;
+    parts[1].iov_base = const_cast<char *>(payload.data());
+    parts[1].iov_len = payload.size();
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = 2;
+    size_t left = kHeaderBytes + payload.size();
+    while (left > 0) {
+        const ssize_t put = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+        if (put < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        // A partial write: skip what went out and send the rest.
+        left -= size_t(put);
+        for (size_t sent = size_t(put); sent > 0;) {
+            iovec &part = message.msg_iov[0];
+            const size_t step = std::min(sent, part.iov_len);
+            part.iov_base = static_cast<char *>(part.iov_base) + step;
+            part.iov_len -= step;
+            sent -= step;
+            if (part.iov_len == 0) {
+                ++message.msg_iov;
+                --message.msg_iovlen;
+            }
+        }
+    }
+    return true;
 }
 
 std::string
@@ -266,6 +260,48 @@ u32Length(const std::string &value, const char *what)
 }
 
 } // namespace
+
+// ------------------------------------------------------------ FrameReader
+
+bool
+wire::FrameReader::next(int fd, size_t max_frame_bytes,
+                        std::string_view &payload)
+{
+    for (;;) {
+        const size_t have = end_ - begin_;
+        size_t want = kHeaderBytes;
+        if (have >= kHeaderBytes) {
+            const uint32_t len = loadU32(buffer_.data() + begin_);
+            if (size_t(len) > max_frame_bytes)
+                return false;
+            want += len;
+            if (have >= want) {
+                payload = {buffer_.data() + begin_ + kHeaderBytes, len};
+                begin_ += want;
+                return true;
+            }
+        }
+        // Short of a whole frame: move its start to the front and
+        // make room for the rest before asking for more.
+        if (begin_ > 0) {
+            std::memmove(buffer_.data(), buffer_.data() + begin_, have);
+            begin_ = 0;
+            end_ = have;
+        }
+        if (buffer_.size() < std::max(want, kReadChunk))
+            buffer_.resize(std::max(want, kReadChunk));
+        char *room = buffer_.data() + end_;
+        const ssize_t got = ::recv(fd, room, buffer_.size() - end_, 0);
+        if (got == 0)
+            return false; // orderly EOF
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        end_ += size_t(got);
+    }
+}
 
 // ---------------------------------------------------------------- Daemon
 
@@ -368,9 +404,10 @@ Daemon::acceptLoop()
 void
 Daemon::serveConnection(Connection &connection)
 {
-    std::string payload;
-    while (readFrame(connection.fd, config_.maxFrameBytes,
-                     payload)) {
+    wire::FrameReader reader;
+    std::string_view payload;
+    while (reader.next(connection.fd, config_.maxFrameBytes,
+                       payload)) {
         requests_.fetch_add(1, std::memory_order_relaxed);
         if (reqCounter_)
             reqCounter_->inc();
@@ -393,7 +430,7 @@ Daemon::serveConnection(Connection &connection)
 }
 
 std::string
-Daemon::handleRequest(const std::string &payload)
+Daemon::handleRequest(std::string_view payload)
 {
     Reader reader{payload};
     uint8_t op = 0;
@@ -410,7 +447,7 @@ Daemon::handleRequest(const std::string &payload)
                     : obs::MetricRegistry::global();
             const std::string dump = obs::renderStatsz(metrics);
             // Framing budget: status byte + u32 length + dump must
-            // fit one frame, or the client's readFrame rejects the
+            // fit one frame, or the client's reader rejects the
             // oversized response and the connection desyncs with a
             // misleading "short read". Degrade to a clear error.
             if (dump.size() + 5 > config_.maxFrameBytes)
@@ -462,7 +499,7 @@ Daemon::handleRequest(const std::string &payload)
 }
 
 std::string
-Daemon::handlePredict(const std::string &payload)
+Daemon::handlePredict(std::string_view payload)
 {
     Reader reader{payload};
     uint8_t op = 0;
@@ -487,7 +524,7 @@ Daemon::handlePredict(const std::string &payload)
 }
 
 std::string
-Daemon::handleLoad(const std::string &payload)
+Daemon::handleLoad(std::string_view payload)
 {
     Reader reader{payload};
     uint8_t op = 0;
@@ -539,10 +576,10 @@ Daemon::drain()
         acceptor_.join();
     closeFd(listenFd_);
 
-    // 2. Close every connection's *read* side only. readFrame()
-    //    returns false at the next frame boundary, but a request
-    //    already being handled still computes and writes its
-    //    response — nothing accepted is dropped.
+    // 2. Close every connection's *read* side only. Its reader
+    //    still hands out the frames it already holds, then sees EOF;
+    //    a request already being handled still computes and writes
+    //    its response — nothing accepted is dropped.
     {
         std::lock_guard lock(connectionsMutex_);
         for (const auto &connection : connections_list_)
@@ -583,9 +620,9 @@ DaemonClient::DaemonClient(uint16_t port)
 DaemonClient::~DaemonClient() { closeFd(fd_); }
 
 DaemonClient::DaemonClient(DaemonClient &&other) noexcept
-    : fd_(other.fd_)
+    : fd_(std::exchange(other.fd_, -1)),
+      reader_(std::exchange(other.reader_, {}))
 {
-    other.fd_ = -1;
 }
 
 DaemonClient &
@@ -593,8 +630,8 @@ DaemonClient::operator=(DaemonClient &&other) noexcept
 {
     if (this != &other) {
         closeFd(fd_);
-        fd_ = other.fd_;
-        other.fd_ = -1;
+        fd_ = std::exchange(other.fd_, -1);
+        reader_ = std::exchange(other.reader_, {});
     }
     return *this;
 }
@@ -606,15 +643,15 @@ DaemonClient::roundTrip(const std::string &payload)
         throw DaemonError("client connection is closed");
     if (!writeFrame(fd_, payload))
         throw DaemonError("short write (daemon closed?)");
-    std::string response;
-    if (!readFrame(fd_, wire::kDefaultMaxFrameBytes, response))
+    std::string_view response;
+    if (!reader_.next(fd_, wire::kDefaultMaxFrameBytes, response))
         throw DaemonError("short read (daemon closed?)");
     Reader reader{response};
     uint8_t status = 0;
     if (!reader.u8(status))
         throw DaemonError("empty response frame");
     if (status == wire::kOk)
-        return response.substr(1);
+        return std::string(response.substr(1));
     uint32_t msg_len = 0;
     std::string message;
     if (!reader.u32(msg_len) || !reader.bytes(msg_len, message))

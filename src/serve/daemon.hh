@@ -35,16 +35,25 @@
  * connections, whose predict calls the shared AsyncEngine
  * micro-batcher coalesces across connections.
  *
+ * Both ends send each frame, length prefix and payload together,
+ * with one sendmsg(), so on a TCP_NODELAY socket a small frame is
+ * one TCP segment. Both read through a per-connection
+ * wire::FrameReader, which recv()s whatever has arrived and cuts
+ * whole frames out of its buffer: a frame that arrives in one
+ * segment costs one recv(), and a peer may still split or merge
+ * frames across segments at will.
+ *
  * # Lifecycle / graceful drain
  *
  * start() binds (port 0 picks an ephemeral port — read it back with
  * port()), listens, and serves each accepted connection on its own
  * thread. drain() — wired to SIGTERM/SIGINT by the difftuned binary
  * — closes intake in order: stop accepting, shut down every
- * connection's read side (in-flight requests still complete and
- * their responses are written), join the connection threads, then
- * drain the registry (every pending engine future completes). No
- * accepted request is ever dropped. See docs/SERVING.md ("Running
+ * connection's read side (in-flight requests, and frames already
+ * in a connection's read buffer, still complete and their responses
+ * are written), join the connection threads, then drain the
+ * registry (every pending engine future completes). No accepted
+ * request is ever dropped. See docs/SERVING.md ("Running
  * difftuned").
  */
 
@@ -56,6 +65,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -86,6 +96,30 @@ enum Status : uint8_t
 
 /** Default per-frame size cap (requests and responses). */
 constexpr size_t kDefaultMaxFrameBytes = size_t(1) << 20;
+
+/**
+ * One connection's read side: recv()s whatever has arrived into one
+ * buffer and cuts whole frames out of it, so frames that arrive
+ * together cost one recv() between them.
+ */
+class FrameReader
+{
+  public:
+    /**
+     * The next frame's payload from @p fd, as a view into the buffer
+     * that stays valid until the next call. False on EOF (also in
+     * mid-frame), on a socket error, and on a length prefix over
+     * @p max_frame_bytes, which is checked before the buffer grows
+     * to hold the frame.
+     */
+    bool next(int fd, size_t max_frame_bytes, std::string_view &payload);
+
+  private:
+    std::string buffer_;
+    /** Unread bytes are buffer_[begin_, end_). */
+    size_t begin_ = 0;
+    size_t end_ = 0;
+};
 
 } // namespace wire
 
@@ -198,10 +232,10 @@ class Daemon
     void serveConnection(Connection &connection);
 
     /** Handle one request payload; returns the response payload. */
-    std::string handleRequest(const std::string &payload);
+    std::string handleRequest(std::string_view payload);
 
-    std::string handlePredict(const std::string &payload);
-    std::string handleLoad(const std::string &payload);
+    std::string handlePredict(std::string_view payload);
+    std::string handleLoad(std::string_view payload);
 
     /** Join finished connection threads (called while accepting, so
      *  a long-lived daemon does not accumulate dead threads). */
@@ -271,6 +305,7 @@ class DaemonClient
     std::string roundTrip(const std::string &payload);
 
     int fd_ = -1;
+    wire::FrameReader reader_;
 };
 
 } // namespace difftune::serve

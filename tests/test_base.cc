@@ -233,6 +233,33 @@ TEST(Env, ParsesValues)
     unsetenv("DIFFTUNE_TEST_VAR");
 }
 
+TEST(Env, ParseLongAcceptsOnlyWholeNumbersInRange)
+{
+    EXPECT_EQ(parseLong("--port", "0", 0, 65535), 0);
+    EXPECT_EQ(parseLong("--port", "65535", 0, 65535), 65535);
+    EXPECT_EQ(parseLong("n", "-3", -5, 5), -3);
+    EXPECT_EQ(parseLong("n", "123456789012", 1), 123456789012L);
+
+    const long unbounded = std::numeric_limits<long>::max();
+    auto error = [](const std::string &text, long lo, long hi) {
+        try {
+            parseLong("--port", text, lo, hi);
+        } catch (const std::runtime_error &caught) {
+            return std::string(caught.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(error("70000", 0, 65535),
+              "fatal: --port must be an integer in [0, 65535], got '70000'");
+    EXPECT_EQ(error("-1", 0, 65535),
+              "fatal: --port must be an integer in [0, 65535], got '-1'");
+    EXPECT_EQ(error("abc", 1, unbounded),
+              "fatal: --port must be an integer >= 1, got 'abc'");
+    for (const char *bad : {"", "12abc", " 12", "12 ", "+12", "1e3"})
+        EXPECT_NE(error(bad, 0, unbounded), "accepted") << bad;
+    EXPECT_NE(error("9223372036854775808", 0, unbounded), "accepted");
+}
+
 TEST(Env, ScaledCountHasFloor)
 {
     EXPECT_GE(scaledCount(100, 10), 10);

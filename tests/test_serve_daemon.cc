@@ -4,22 +4,30 @@
  * (bit-exact serving, zero-downtime hot-swap under concurrent load,
  * fail-closed swaps, drain semantics), the length-prefixed wire
  * protocol end to end over loopback TCP (predict/statsz/list/ping,
- * hot-swap via kLoad, malformed-frame handling), graceful drain
+ * hot-swap via kLoad, malformed-frame handling, one TCP segment per
+ * frame, frames split or merged across segments), graceful drain
  * with in-flight traffic, and the workload helpers' zero-sample
  * latency guard.
  */
 
 #include <gtest/gtest.h>
 
+// tcp_info with tcpi_data_segs_in comes from the kernel header,
+// which clashes with <netinet/tcp.h>; it also defines TCP_NODELAY.
+#include <linux/tcp.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <optional>
 #include <thread>
 
 #include "bhive/corpus.hh"
@@ -125,6 +133,195 @@ saveTempCheckpoint(const std::string &stem, uint64_t seed)
                        &*ckpt.table);
     return path;
 }
+
+/** A blocking loopback socket connected to @p port with TCP_NODELAY
+ *  set, as DaemonClient sets it; -1 on failure. A reply that never
+ *  comes fails its read after 10 s instead of hanging the test. */
+int
+connectRaw(uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    return fd;
+}
+
+void
+putU32(std::string &out, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        out.push_back(char((v >> (8 * i)) & 0xff));
+}
+
+/** @p payload behind its u32 length prefix. */
+std::string
+frameOf(const std::string &payload)
+{
+    std::string frame;
+    putU32(frame, uint32_t(payload.size()));
+    return frame + payload;
+}
+
+std::string
+predictFrame(const std::string &model, const std::string &text)
+{
+    std::string payload(1, char(wire::kPredict));
+    payload.push_back(char(model.size() & 0xff));
+    payload.push_back(char(model.size() >> 8));
+    payload += model;
+    putU32(payload, uint32_t(text.size()));
+    return frameOf(payload + text);
+}
+
+/** A kOk predict response frame carrying @p prediction's bits. */
+std::string
+predictReplyFrame(double prediction)
+{
+    std::string payload(1, char(wire::kOk));
+    const uint64_t bits = std::bit_cast<uint64_t>(prediction);
+    for (int i = 0; i < 8; ++i)
+        payload.push_back(char((bits >> (8 * i)) & 0xff));
+    return frameOf(payload);
+}
+
+const std::string kOkFrame = frameOf(std::string(1, char(wire::kOk)));
+
+/** One frame's payload by blocking reads; false on EOF or error. */
+bool
+readRawFrame(int fd, std::string &payload)
+{
+    unsigned char header[4];
+    if (::recv(fd, header, 4, MSG_WAITALL) != 4)
+        return false;
+    const uint32_t len = uint32_t(header[0]) |
+                         (uint32_t(header[1]) << 8) |
+                         (uint32_t(header[2]) << 16) |
+                         (uint32_t(header[3]) << 24);
+    payload.resize(len);
+    return len == 0 ||
+           ::recv(fd, payload.data(), len, MSG_WAITALL) == ssize_t(len);
+}
+
+bool
+sendAll(int fd, const std::string &bytes)
+{
+    return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           ssize_t(bytes.size());
+}
+
+/** Send @p bytes one byte per send(), pausing between them so the
+ *  peer's reads see them apart. */
+bool
+sendDribbled(int fd, const std::string &bytes)
+{
+    for (const char byte : bytes) {
+        if (::send(fd, &byte, 1, MSG_NOSIGNAL) != 1)
+            return false;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return true;
+}
+
+/** The prediction in a kOk predict response payload (NaN if the
+ *  payload is anything else). */
+double
+predictionOf(const std::string &payload)
+{
+    if (payload.size() != 9 || uint8_t(payload[0]) != wire::kOk)
+        return std::nan("");
+    uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i)
+        bits |= uint64_t(uint8_t(payload[size_t(1 + i)])) << (8 * i);
+    return std::bit_cast<double>(bits);
+}
+
+/** TCP data segments @p fd has received (tcpi_data_segs_in);
+ *  nullopt when the kernel's tcp_info is too short to carry it. */
+std::optional<uint32_t>
+dataSegmentsIn(int fd)
+{
+    tcp_info info{};
+    socklen_t len = sizeof(info);
+    const size_t needed = offsetof(tcp_info, tcpi_data_segs_in) +
+                          sizeof(info.tcpi_data_segs_in);
+    if (::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &info, &len) != 0 ||
+        size_t(len) < needed)
+        return std::nullopt;
+    return info.tcpi_data_segs_in;
+}
+
+/**
+ * A loopback stand-in for the daemon in client-side tests: accepts
+ * one connection and runs @p serve on it in a thread. join() (or
+ * the destructor) waits for @p serve, so close the client first.
+ */
+class OneShotListener
+{
+  public:
+    explicit OneShotListener(std::function<void(int)> serve)
+    {
+        listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t len = sizeof(addr);
+        auto *name = reinterpret_cast<sockaddr *>(&addr);
+        if (listenFd_ < 0 || ::bind(listenFd_, name, len) != 0 ||
+            ::listen(listenFd_, 1) != 0 ||
+            ::getsockname(listenFd_, name, &len) != 0)
+            return; // port() stays 0 and the test fails on it
+        port_ = ntohs(addr.sin_port);
+        thread_ = std::thread([this, serve = std::move(serve)] {
+            const int fd = ::accept(listenFd_, nullptr, nullptr);
+            if (fd < 0)
+                return;
+            int one = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+            serve(fd);
+            ::close(fd);
+        });
+    }
+
+    ~OneShotListener()
+    {
+        join();
+        if (listenFd_ >= 0)
+            ::close(listenFd_);
+    }
+
+    OneShotListener(const OneShotListener &) = delete;
+    OneShotListener &operator=(const OneShotListener &) = delete;
+
+    uint16_t port() const { return port_; }
+
+    void
+    join()
+    {
+        // Wakes an accept() that no client ever reached.
+        if (listenFd_ >= 0)
+            ::shutdown(listenFd_, SHUT_RDWR);
+        if (thread_.joinable())
+            thread_.join();
+    }
+
+  private:
+    int listenFd_ = -1;
+    uint16_t port_ = 0;
+    std::thread thread_;
+};
 
 TEST(ModelRegistry, ServesBitExactAgainstReference)
 {
@@ -602,6 +799,204 @@ TEST(Daemon, OversizedStatszIsAProtocolErrorNotADesync)
     // kError keeps the connection usable — the old behavior sent a
     // frame over the limit, which desynced the connection.
     client.ping();
+}
+
+TEST(Daemon, EveryFrameIsOneTcpSegment)
+{
+    // A frame's length prefix and payload leave in one send(), so on
+    // a TCP_NODELAY socket each small frame is one data segment in
+    // both directions (two sends made two, or merged late).
+    constexpr uint32_t kFrames = 100;
+    obs::MetricRegistry metrics;
+    DaemonConfig cfg;
+    cfg.registry = testRegistryConfig(&metrics);
+    Daemon daemon(cfg);
+    daemon.start();
+
+    // The daemon's replies, counted where they arrive.
+    const int fd = connectRaw(daemon.port());
+    ASSERT_GE(fd, 0);
+    const std::string ping = frameOf(std::string(1, char(wire::kPing)));
+    std::string reply;
+    for (uint32_t i = 0; i < kFrames; ++i) {
+        ASSERT_TRUE(sendAll(fd, ping));
+        ASSERT_TRUE(readRawFrame(fd, reply));
+        ASSERT_EQ(reply, std::string(1, char(wire::kOk)));
+    }
+    const std::optional<uint32_t> reply_segments = dataSegmentsIn(fd);
+    ::close(fd);
+    if (!reply_segments)
+        GTEST_SKIP() << "tcp_info carries no tcpi_data_segs_in";
+    EXPECT_LE(*reply_segments, kFrames);
+
+    // DaemonClient's requests, counted by a stand-in daemon.
+    uint32_t requests_seen = 0;
+    std::optional<uint32_t> request_segments;
+    OneShotListener listener([&](int peer) {
+        std::string request;
+        while (readRawFrame(peer, request) && sendAll(peer, kOkFrame))
+            ++requests_seen;
+        request_segments = dataSegmentsIn(peer);
+    });
+    ASSERT_GT(listener.port(), 0);
+    {
+        DaemonClient client(listener.port());
+        for (uint32_t i = 0; i < kFrames; ++i)
+            client.ping();
+    } // the client's close ends the listener's loop
+    listener.join();
+    EXPECT_EQ(requests_seen, kFrames);
+    ASSERT_TRUE(request_segments.has_value());
+    EXPECT_LE(*request_segments, kFrames);
+}
+
+TEST(Daemon, AnswersAFrameSentOneBytePerSend)
+{
+    obs::MetricRegistry metrics;
+    DaemonConfig cfg;
+    cfg.registry = testRegistryConfig(&metrics);
+    Daemon daemon(cfg);
+    const io::ModelSnapshot artifact = artifactWithSeed(5);
+    const auto texts = corpusTexts(1, 0x99a);
+    const auto refs = references(artifact, texts);
+    daemon.registry().load("m", artifact);
+    daemon.start();
+
+    const int fd = connectRaw(daemon.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(sendDribbled(fd, predictFrame("m", texts[0])));
+    std::string reply;
+    ASSERT_TRUE(readRawFrame(fd, reply));
+    EXPECT_TRUE(sameBits(predictionOf(reply), refs[0]));
+    ::close(fd);
+    EXPECT_EQ(daemon.errorsServed(), 0u);
+}
+
+TEST(Daemon, AnswersFramesSentTogetherInOrder)
+{
+    obs::MetricRegistry metrics;
+    DaemonConfig cfg;
+    cfg.registry = testRegistryConfig(&metrics);
+    Daemon daemon(cfg);
+    const io::ModelSnapshot artifact = artifactWithSeed(5);
+    const auto texts = corpusTexts(3, 0x99b);
+    ASSERT_EQ(texts.size(), 3u);
+    const auto refs = references(artifact, texts);
+    daemon.registry().load("m", artifact);
+    daemon.start();
+
+    const int fd = connectRaw(daemon.port());
+    ASSERT_GE(fd, 0);
+    // Three frames in one send; then so many that frames straddle
+    // the daemon's refills of its read buffer.
+    for (const size_t rounds : {1, 64}) {
+        std::string frames;
+        for (size_t round = 0; round < rounds; ++round)
+            for (const auto &text : texts)
+                frames += predictFrame("m", text);
+        ASSERT_TRUE(sendAll(fd, frames));
+        for (size_t i = 0; i < rounds * texts.size(); ++i) {
+            std::string reply;
+            ASSERT_TRUE(readRawFrame(fd, reply)) << "reply " << i;
+            const double want = refs[i % texts.size()];
+            EXPECT_TRUE(sameBits(predictionOf(reply), want)) << i;
+        }
+    }
+    ::close(fd);
+    EXPECT_EQ(daemon.errorsServed(), 0u);
+}
+
+TEST(Daemon, PeerClosingMidFrameEndsTheConnectionQuietly)
+{
+    obs::MetricRegistry metrics;
+    DaemonConfig cfg;
+    cfg.registry = testRegistryConfig(&metrics);
+    Daemon daemon(cfg);
+    daemon.start();
+
+    const int fd = connectRaw(daemon.port());
+    ASSERT_GE(fd, 0);
+    // A frame that promises 10 payload bytes and delivers 3.
+    std::string partial;
+    putU32(partial, 10);
+    partial += char(wire::kPing);
+    partial += "ab";
+    ASSERT_TRUE(sendAll(fd, partial));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    // The daemon hangs up without answering.
+    char sink[16];
+    EXPECT_EQ(::recv(fd, sink, sizeof(sink), 0), 0);
+    ::close(fd);
+    EXPECT_EQ(daemon.requestsServed(), 0u);
+    EXPECT_EQ(daemon.errorsServed(), 0u);
+
+    DaemonClient client(daemon.port());
+    client.ping();
+}
+
+TEST(DaemonClient, ParsesAReplyDribbledOneBytePerSend)
+{
+    const double answer = -0.1;
+    OneShotListener listener([&](int peer) {
+        std::string request;
+        if (readRawFrame(peer, request))
+            sendDribbled(peer, predictReplyFrame(answer));
+        if (readRawFrame(peer, request))
+            sendDribbled(peer, kOkFrame);
+        while (readRawFrame(peer, request)) {
+        }
+    });
+    ASSERT_GT(listener.port(), 0);
+    {
+        DaemonClient client(listener.port());
+        EXPECT_TRUE(sameBits(client.predict("m", "NOP\n"), answer));
+        client.ping();
+    }
+    listener.join();
+}
+
+TEST(DaemonClient, MovedClientKeepsItsConnectionAndReadBuffer)
+{
+    // The stand-in answers the first request with two frames in one
+    // send, so the second waits in the client's read buffer when the
+    // client is moved. It answers the second request with a decoy,
+    // which only a client that lost that buffer reads.
+    const double answer = 2.5;
+    const double decoy = -7.0;
+    OneShotListener listener([&](int peer) {
+        std::string request;
+        if (readRawFrame(peer, request))
+            sendAll(peer, kOkFrame + predictReplyFrame(answer));
+        if (readRawFrame(peer, request))
+            sendAll(peer, predictReplyFrame(decoy));
+        while (readRawFrame(peer, request)) {
+        }
+    });
+    ASSERT_GT(listener.port(), 0);
+    {
+        DaemonClient first(listener.port());
+        first.ping();
+        DaemonClient second(std::move(first));
+        EXPECT_TRUE(sameBits(second.predict("m", "NOP\n"), answer));
+        EXPECT_THROW(first.ping(), DaemonError);
+    }
+    listener.join();
+
+    // Move-assignment closes the target's connection and carries on
+    // on the source's.
+    obs::MetricRegistry metrics;
+    DaemonConfig cfg;
+    cfg.registry = testRegistryConfig(&metrics);
+    Daemon daemon(cfg);
+    daemon.start();
+    DaemonClient target(daemon.port());
+    DaemonClient source(daemon.port());
+    target.ping();
+    source.ping();
+    target = std::move(source);
+    target.ping();
+    EXPECT_THROW(source.ping(), DaemonError);
+    EXPECT_EQ(daemon.errorsServed(), 0u);
 }
 
 TEST(DaemonClient, RejectsOverlongModelNamesBeforeSending)

@@ -3,12 +3,14 @@
 #
 #   1. save-tiny two checkpoints with different seeds (untrained —
 #      milliseconds — but deterministic and distinct)
-#   2. start difftuned on an ephemeral loopback port
-#   3. drive a few hundred requests from concurrent client threads,
+#   2. require `serve --port 70000` and `serve --port abc` to exit 1
+#      naming --port (a port must never wrap into another one)
+#   3. start difftuned on an ephemeral loopback port
+#   4. drive a few hundred requests from concurrent client threads,
 #      hot-swapping the model mid-run, and audit the daemon's own
 #      /statsz over the wire (zero daemon errors, every engine's
 #      requests == hits + misses)
-#   4. SIGTERM the daemon and require a clean graceful-drain exit 0
+#   5. SIGTERM the daemon and require a clean graceful-drain exit 0
 #
 # Usage: daemon_smoke.sh <path-to-difftuned-binary>
 #
@@ -37,6 +39,21 @@ trap 'on_err "$LINENO" "$?"' ERR
 step "save-tiny checkpoints"
 "$DIFFTUNED" save-tiny "$WORKDIR/a.ckpt" 5
 "$DIFFTUNED" save-tiny "$WORKDIR/b.ckpt" 9
+
+step "serve refuses ports it cannot bind as given"
+# A refused port exits 1 at once; one that wrapped would listen
+# until the timeout (exit 124).
+for BAD_PORT in 70000 abc; do
+    BAD_RC=0
+    BAD_OUT=$(timeout 10 "$DIFFTUNED" serve default="$WORKDIR/a.ckpt" \
+        --port "$BAD_PORT" 2>&1) || BAD_RC=$?
+    if [ "$BAD_RC" -ne 1 ] || ! grep -q -e '--port' <<<"$BAD_OUT"; then
+        echo "FAIL: serve --port $BAD_PORT exited $BAD_RC, want 1" \
+            "naming --port; output: $BAD_OUT"
+        exit 1
+    fi
+    echo "   --port $BAD_PORT: $BAD_OUT"
+done
 
 step "start difftuned (ephemeral port)"
 "$DIFFTUNED" serve default="$WORKDIR/a.ckpt" \
