@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "base/table.hh"
 #include "bhive/dataset.hh"
@@ -99,7 +100,7 @@ cmdTune(int argc, char **argv)
     fatal_if(argc < 4, "usage: tune <uarch> <out_params> [corpus]");
     const hw::Uarch uarch = parseUarch(argv[2]);
     const size_t corpus_size =
-        argc > 4 ? std::stoul(argv[4]) : 2000;
+        argc > 4 ? size_t(parseLong("corpus", argv[4], 1)) : 2000;
     setVerbose(true);
 
     auto corpus = bhive::Corpus::generate(corpus_size, 42);
@@ -125,7 +126,7 @@ cmdEval(int argc, char **argv)
     fatal_if(argc < 4, "usage: eval <uarch> <params> [corpus]");
     const hw::Uarch uarch = parseUarch(argv[2]);
     const size_t corpus_size =
-        argc > 4 ? std::stoul(argv[4]) : 2000;
+        argc > 4 ? size_t(parseLong("corpus", argv[4], 1)) : 2000;
     auto corpus = bhive::Corpus::generate(corpus_size, 42);
     bhive::Dataset dataset(corpus, uarch);
     mca::XMca sim;

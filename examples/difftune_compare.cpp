@@ -36,11 +36,13 @@
  * breakage for a clean comparison.
  */
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "compare/compare.hh"
 #include "compare/perturb.hh"
@@ -71,7 +73,7 @@ struct EngineArgs
             ckpt = argv[++i];
         } else if (arg == "--daemon") {
             fatal_if(i + 1 >= argc, "--daemon needs a port");
-            port = std::stoi(argv[++i]);
+            port = int(parseLong("--daemon", argv[++i], 1, 65535));
         } else if (arg == "--host") {
             fatal_if(i + 1 >= argc, "--host needs an address");
             host = argv[++i];
@@ -80,7 +82,8 @@ struct EngineArgs
             model = argv[++i];
         } else if (arg == "--workers") {
             fatal_if(i + 1 >= argc, "--workers needs a count");
-            options.workers = std::stoi(argv[++i]);
+            options.workers =
+                int(parseLong("--workers", argv[++i], 1, maxThreadsArg));
         } else {
             return false;
         }
@@ -256,13 +259,13 @@ cmdPerturb(int argc, char **argv)
             opcode = argv[++i];
         } else if (arg == "--tensor") {
             fatal_if(i + 1 >= argc, "--tensor needs an index");
-            tensor = std::stoi(argv[++i]);
+            tensor = int(parseLong("--tensor", argv[++i], 0, INT_MAX));
         } else if (arg == "--row") {
             fatal_if(i + 1 >= argc, "--row needs an index");
-            row = std::stoi(argv[++i]);
+            row = int(parseLong("--row", argv[++i], 0, INT_MAX));
         } else if (arg == "--col") {
             fatal_if(i + 1 >= argc, "--col needs an index");
-            col = std::stoi(argv[++i]);
+            col = int(parseLong("--col", argv[++i], 0, INT_MAX));
         } else if (arg == "--delta") {
             fatal_if(i + 1 >= argc, "--delta needs a number");
             delta = std::stod(argv[++i]);

@@ -36,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "lab/trace.hh"
 #include "serve/async_engine.hh"
@@ -62,17 +63,18 @@ cmdGen(int argc, char **argv)
         if (arg == "--seed")
             config.seed = std::stoull(value);
         else if (arg == "--corpus")
-            config.corpusTarget = std::stoull(value);
+            config.corpusTarget = uint64_t(parseLong("--corpus", value, 1));
         else if (arg == "--corpus-seed")
             config.corpusSeed = std::stoull(value);
         else if (arg == "--requests")
-            config.requests = std::stoull(value);
+            config.requests = uint64_t(parseLong("--requests", value, 1));
         else if (arg == "--zipf")
             config.zipfSkew = std::stod(value);
         else if (arg == "--respell")
             config.respellProb = std::stod(value);
         else if (arg == "--models")
-            config.models = uint32_t(std::stoul(value));
+            config.models = uint32_t(
+                parseLong("--models", value, 1, lab::kMaxModels));
         else
             fatal("gen: unknown argument '{}'", arg);
     }
@@ -157,11 +159,11 @@ cmdReplay(int argc, char **argv)
         if (arg == "--ckpt")
             ckpt = value;
         else if (arg == "--workers")
-            workers = std::stoi(value);
+            workers = int(parseLong("--workers", value, 1, maxThreadsArg));
         else if (arg == "--capacity")
-            capacity = std::stoull(value);
+            capacity = size_t(parseLong("--capacity", value, 1));
         else if (arg == "--daemon")
-            port = std::stoi(value);
+            port = int(parseLong("--daemon", value, 1, 65535));
         else if (arg == "--host")
             host = value;
         else if (arg == "--model")

@@ -42,6 +42,7 @@
 #include <sstream>
 #include <string>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "base/table.hh"
 #include "bhive/corpus.hh"
@@ -122,7 +123,8 @@ cmdSave(int argc, char **argv)
     fatal_if(argc < 4, "usage: save <uarch> <out.ckpt> [corpus]");
     const hw::Uarch uarch = parseUarch(argv[2]);
     const std::string path = argv[3];
-    const size_t corpus_size = argc > 4 ? std::stoul(argv[4]) : 2000;
+    const size_t corpus_size =
+        argc > 4 ? size_t(parseLong("corpus", argv[4], 1)) : 2000;
     setVerbose(true);
 
     auto corpus = bhive::Corpus::generate(corpus_size, 42);
@@ -167,7 +169,8 @@ cmdSaveIthemal(int argc, char **argv)
              "usage: save-ithemal <uarch> <out.ckpt> [corpus]");
     const hw::Uarch uarch = parseUarch(argv[2]);
     const std::string path = argv[3];
-    const size_t corpus_size = argc > 4 ? std::stoul(argv[4]) : 2000;
+    const size_t corpus_size =
+        argc > 4 ? size_t(parseLong("corpus", argv[4], 1)) : 2000;
     setVerbose(true);
 
     auto corpus = bhive::Corpus::generate(corpus_size, 42);
@@ -259,8 +262,8 @@ cmdBench(int argc, char **argv)
             json = true;
         } else if (std::string(argv[i]) == "--threads") {
             fatal_if(i + 1 >= argc, "--threads needs a count");
-            threads = std::stoi(argv[++i]);
-            fatal_if(threads < 1, "--threads needs a count >= 1");
+            threads =
+                int(parseLong("--threads", argv[++i], 1, maxThreadsArg));
         } else {
             args.push_back(argv[i]);
         }
@@ -270,8 +273,9 @@ cmdBench(int argc, char **argv)
              "[--threads N] [--json]");
     const std::string path = args[2];
     const size_t requests =
-        args.size() > 3 ? std::stoul(args[3]) : 4000;
-    const size_t unique = args.size() > 4 ? std::stoul(args[4]) : 400;
+        args.size() > 3 ? size_t(parseLong("requests", args[3], 1)) : 4000;
+    const size_t unique =
+        args.size() > 4 ? size_t(parseLong("unique", args[4], 1)) : 400;
 
     const auto load_begin = std::chrono::steady_clock::now();
     const io::ModelSnapshot artifact = io::loadModelSnapshot(path);

@@ -63,9 +63,6 @@ namespace
 
 using namespace difftune;
 
-/** Cap on --workers and --threads: each is that many OS threads. */
-constexpr long kMaxThreads = 1024;
-
 /** Self-pipe the signal handlers write to; main blocks reading it. */
 int signalPipe[2] = {-1, -1};
 
@@ -108,7 +105,7 @@ cmdServe(int argc, char **argv)
         } else if (arg == "--workers") {
             fatal_if(i + 1 >= argc, "--workers needs a count");
             cfg.registry.engine.workers =
-                int(parseLong("--workers", argv[++i], 1, kMaxThreads));
+                int(parseLong("--workers", argv[++i], 1, maxThreadsArg));
         } else {
             models.push_back(splitModelArg(arg));
         }
@@ -181,7 +178,7 @@ cmdClient(int argc, char **argv)
         } else if (arg == "--threads") {
             fatal_if(i + 1 >= argc, "--threads needs a count");
             threads =
-                int(parseLong("--threads", argv[++i], 1, kMaxThreads));
+                int(parseLong("--threads", argv[++i], 1, maxThreadsArg));
         } else if (arg == "--swap") {
             fatal_if(i + 1 >= argc, "--swap needs <name>=<ckpt>");
             swap_arg = argv[++i];

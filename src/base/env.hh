@@ -31,6 +31,9 @@ long envLong(const char *name, long default_value);
 long parseLong(const char *what, const std::string &text, long min_value,
                long max_value = std::numeric_limits<long>::max());
 
+/** Cap on a command-line worker or thread count: each is an OS thread. */
+inline constexpr long maxThreadsArg = 1024;
+
 /** Read an environment variable as string, with a default. */
 std::string envString(const char *name, const std::string &default_value);
 

@@ -66,7 +66,12 @@ class BatchRunner
      */
     double runBatch(size_t begin, size_t end, const SampleFn &body);
 
-    /** Clip the averaged batch gradient and step the optimizer. */
+    /**
+     * Clip the averaged batch gradient and step the optimizer. The
+     * clip's norm is one serial sum; its rescale and the step's
+     * element updates are split over the workers (a set of under
+     * 16k elements steps serially), which moves no bit.
+     */
     void apply(nn::ParamSet &params, nn::Optimizer &optimizer,
                double clip = 0.0);
 

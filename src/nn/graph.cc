@@ -124,12 +124,19 @@ Grads::l2Norm() const
     return std::sqrt(total);
 }
 
+double
+Grads::clipFactor(double max_norm) const
+{
+    const double norm = l2Norm();
+    return norm > max_norm && norm > 0.0 ? max_norm / norm : 1.0;
+}
+
 void
 Grads::clipL2(double max_norm)
 {
-    const double norm = l2Norm();
-    if (norm > max_norm && norm > 0.0)
-        scale(max_norm / norm);
+    const double factor = clipFactor(max_norm);
+    if (factor != 1.0)
+        scale(factor);
 }
 
 // ------------------------------------------------------------- DoubleArena
@@ -197,6 +204,7 @@ Graph::clear()
     paramCache_.clear();
     extraVars_.clear();
     extraData_.clear();
+    pendingSlots_ = 0;
     varena_.reset();
     garena_.reset();
 }
@@ -371,14 +379,20 @@ Graph::param(const ParamSet &params, int index, Grads *sink)
 
     // Zero-copy: a parameter leaf aliases the ParamSet's storage
     // (never written through; optimizer steps happen between graph
-    // lifetimes, not during them).
+    // lifetimes, not during them). Its gradient buffer, if it needs
+    // one, is allocated by backward() (see deferWeightGrad()).
     const Tensor &value = params[index];
-    Var var = pushAliasNode(Op::Param, value.rows, value.cols,
-                            sink != nullptr,
+    Var var = pushAliasNode(Op::Param, value.rows, value.cols, false,
                             const_cast<double *>(value.data.data()));
     Node &n = node(var);
+    n.requiresGrad = sink != nullptr;
     n.sink = sink;
     n.i0 = index;
+    if (sink) {
+        if (pendingSlots_ == pending_.size())
+            pending_.emplace_back();
+        n.extra = int32_t(pendingSlots_++);
+    }
     paramCache_.emplace_back(key, var);
     return var;
 }
@@ -874,8 +888,11 @@ namespace
  * dW[i,:] += dz_i * x^T and dx += W^T dz, in reference order (rows
  * ascending, the dz_i == 0 rows skipped exactly as the primitive
  * matmul backward does), through the selected kernel table's
- * rank-1 and transposed entries. Values and gradients live in
- * separate arenas, so no operand aliases another.
+ * rank-K (K = 1) and transposed entries. Values and gradients live
+ * in separate arenas, so no operand aliases another. A K = 1 update
+ * adds +0.0 + dz_i * x_j, which equals adding dz_i * x_j to any
+ * element that is not -0.0; a tape gradient buffer starts at +0.0
+ * and only ever has values added to it, so it never holds -0.0.
  */
 inline void
 matvecBackward(const double *wv, double *wgrad, bool w_live,
@@ -884,7 +901,7 @@ matvecBackward(const double *wv, double *wgrad, bool w_live,
 {
     const MatvecKernels &kernels = matvecKernels();
     if (w_live)
-        kernels.rankOneF64(wgrad, dz, xv, rows, cols);
+        kernels.rankKF64(wgrad, &dz, &xv, 1, rows, cols);
     if (x_live)
         kernels.transposedF64(wv, dz, xgrad, rows, cols);
 }
@@ -902,6 +919,16 @@ Graph::backwardNode(Node &n)
 
     case Op::Param: {
         Tensor &t = (*n.sink)[n.i0];
+        if (!g) {
+            // Only LSTM cells wrote this weight's gradient: their
+            // deferred terms go into the sink in one pass.
+            const PendingTerms &terms = pending_[size_t(n.extra)];
+            matvecKernels().rankKF64(t.data.data(), terms.dz.data(),
+                                     terms.x.data(),
+                                     int(terms.dz.size()), n.rows,
+                                     n.cols);
+            break;
+        }
         for (size_t i = 0; i < count; ++i)
             t.data[i] += g[i];
         break;
@@ -1222,18 +1249,13 @@ Graph::backwardNode(Node &n)
         }
         // Reference order: the Wh*h matmul backward runs before the
         // Wx*x one (it sits later on the tape).
-        matvecBackward(whn.val, whn.requiresGrad ? whn.grad : nullptr,
-                       whn.requiresGrad, hn.val,
-                       hn.requiresGrad ? hn.grad : nullptr,
-                       hn.requiresGrad, 4 * hidden, hidden, dz);
-        matvecBackward(wxn.val, wxn.requiresGrad ? wxn.grad : nullptr,
-                       wxn.requiresGrad, xn.val,
-                       xn.requiresGrad ? xn.grad : nullptr,
-                       xn.requiresGrad, 4 * hidden, in, dz);
-        if (wxn.requiresGrad)
-            wxn.gradLive = true;
-        if (whn.requiresGrad)
-            whn.gradLive = true;
+        const TransposedF64Fn transposed = matvecKernels().transposedF64;
+        deferWeightGrad(whn, dz, hn.val);
+        if (hn.requiresGrad)
+            transposed(whn.val, dz, hn.grad, 4 * hidden, hidden);
+        deferWeightGrad(wxn, dz, xn.val);
+        if (xn.requiresGrad)
+            transposed(wxn.val, dz, xn.grad, 4 * hidden, in);
         if (bn.requiresGrad)
             bn.gradLive = true;
         if (xn.requiresGrad)
@@ -1315,6 +1337,31 @@ Graph::backwardNode(Node &n)
 }
 
 void
+Graph::allocParamGrad(int32_t id)
+{
+    if (id < 0)
+        return;
+    Node &p = nodes_[size_t(id)];
+    if (p.op == Op::Param && p.requiresGrad && !p.grad)
+        p.grad = garena_.alloc(size_t(p.rows) * p.cols);
+}
+
+void
+Graph::deferWeightGrad(Node &w, const double *dz, const double *x)
+{
+    if (!w.requiresGrad)
+        return;
+    w.gradLive = true;
+    if (w.grad) {
+        matvecKernels().rankKF64(w.grad, &dz, &x, 1, w.rows, w.cols);
+        return;
+    }
+    PendingTerms &terms = pending_[size_t(w.extra)];
+    terms.dz.push_back(dz);
+    terms.x.push_back(x);
+}
+
+void
 Graph::backward(Var loss, double seed)
 {
     Node &ln = node(loss);
@@ -1322,9 +1369,34 @@ Graph::backward(Var loss, double seed)
              "backward expects a scalar loss");
     if (!ln.requiresGrad)
         return;
-    garena_.zeroUsed();
-    for (Node &n : nodes_)
+    for (Node &n : nodes_) {
         n.gradLive = false;
+        // A parameter leaf gets a tape gradient buffer only when some
+        // op other than an LSTM cell's weight slots writes its
+        // gradient; every other op names its operands in a, b, c
+        // (Concat: its parts in extraVars_).
+        switch (n.op) {
+        case Op::LstmCell:
+            allocParamGrad(n.c);
+            for (int p = 0; p < 3; ++p)
+                allocParamGrad(extraVars_[size_t(n.extra) + p]);
+            break;
+        case Op::Concat:
+            for (int32_t p = 0; p < n.i0; ++p)
+                allocParamGrad(extraVars_[size_t(n.extra) + p]);
+            break;
+        default:
+            allocParamGrad(n.a);
+            allocParamGrad(n.b);
+            allocParamGrad(n.c);
+            break;
+        }
+    }
+    garena_.zeroUsed();
+    for (size_t slot = 0; slot < pendingSlots_; ++slot) {
+        pending_[slot].dz.clear();
+        pending_[slot].x.clear();
+    }
     ln.grad[0] = seed;
     ln.gradLive = true;
     for (int32_t id = loss.id; id >= 0; --id) {

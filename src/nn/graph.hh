@@ -34,6 +34,22 @@
  * current tape from scratch; parameter gradients still *accumulate*
  * into the caller's Grads sinks.
  *
+ * # Weight gradients
+ *
+ * A weight that only LSTM cells read as Wx or Wh has no tape
+ * gradient buffer. Each cell's backward records its (dz, x) pair on
+ * the weight's Param node (both stay in the arenas until clear()),
+ * and when the reverse sweep reaches that node, the weight's first
+ * use on the tape, one rank-K kernel adds sum_k dz_k x_k^T into the
+ * sink. So the weight's gradient goes into its sink once per
+ * backward(), each element as a sum from +0.0 over the cells in
+ * reverse tape order, dz == 0 terms skipped, then one add into the
+ * sink: the sequence of a zeroed tape buffer, per-cell rank-1
+ * updates and the Param node's add, so both agree bit for bit. A
+ * weight that any other op also writes gets its buffer from
+ * backward(), and each cell adds to it at its own place in the
+ * sweep, as a rank-K update with K = 1.
+ *
  * # Weight panels
  *
  * The forward matvec kernels read a weight as its packed f64 panel
@@ -134,6 +150,12 @@ class Grads
 
     /** Global L2 norm across all gradients. */
     double l2Norm() const;
+
+    /**
+     * The factor clipL2() scales by: max_norm / l2Norm() when the
+     * norm exceeds @p max_norm, else 1.
+     */
+    double clipFactor(double max_norm) const;
 
     /** Scale down so the global L2 norm is at most @p max_norm. */
     void clipL2(double max_norm);
@@ -357,6 +379,10 @@ class Graph
     // ---- Access
 
     TensorView value(Var v) const;
+    /**
+     * The node's tape gradient; a weight without a tape buffer (see
+     * the file comment) has none (null data).
+     */
     TensorView grad(Var v) const;
 
     /** Scalar value of a 1x1 node. */
@@ -436,11 +462,13 @@ class Graph
         int rows = 0;
         int cols = 0;
         double *val = nullptr;  ///< value, varena_ (Slice: aliased)
-        double *grad = nullptr; ///< gradient, garena_ (if needed)
+        /** Gradient, garena_ (if needed; Param: see backward()). */
+        double *grad = nullptr;
         /** Fused-op saved state / scratch; Param: its panel (lazy). */
         double *aux = nullptr;
         int32_t a = -1, b = -1, c = -1; ///< operand node ids
-        int32_t extra = -1; ///< offset into extraVars_ / extraData_
+        /** Offset into extraVars_ / extraData_; Param: pending_ slot. */
+        int32_t extra = -1;
         int32_t i0 = 0, i1 = 0; ///< small int payload
         double c0 = 0.0, c1 = 0.0; ///< small double payload
         Grads *sink = nullptr; ///< Param/ParamRow gradient sink
@@ -466,6 +494,15 @@ class Graph
 
     void backwardNode(Node &n);
 
+    /** Give Param node @p id a tape gradient buffer if it has none. */
+    void allocParamGrad(int32_t id);
+
+    /**
+     * An LSTM cell's dW += dz x^T for weight node @p w: recorded on
+     * the Param node when @p w has no tape buffer, else applied now.
+     */
+    void deferWeightGrad(Node &w, const double *dz, const double *x);
+
     /**
      * out = W x for weight node @p w: through W's panel when W is a
      * parameter (packed on first use, see the file comment), else
@@ -480,6 +517,16 @@ class Graph
     std::vector<int32_t> extraVars_;
     /** Per-op constant vectors (scaleByVec / soft-clamp scales). */
     std::vector<double> extraData_;
+
+    /** The deferred dW terms of one weight, in reverse tape order. */
+    struct PendingTerms
+    {
+        std::vector<const double *> dz;
+        std::vector<const double *> x;
+    };
+    /** One slot per trainable Param node; kept across clear(). */
+    std::vector<PendingTerms> pending_;
+    size_t pendingSlots_ = 0; ///< slots in use since clear()
     DoubleArena varena_; ///< values + fused-op aux
     DoubleArena garena_; ///< gradients (zeroed per backward())
     bool refKernels_ = false;          ///< see setReferenceKernels()

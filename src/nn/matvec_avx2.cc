@@ -8,8 +8,10 @@
  *    column k of a block is one 4-double load; four blocks (16 rows)
  *    run as four independent accumulator chains. Remainder blocks
  *    run one chain, the rows % 4 tail the plain scalar loop.
- *  - avx2RankOneF64 (dW += dz x^T): 4 columns of one dW row per
- *    register.
+ *  - avx2RankKF64 (dW += sum_k dz_k x_k^T): a 4-row x 8-column
+ *    tile of sums stays in eight registers across all K terms and
+ *    is added to dW once; 4-column tiles, scalar columns and the
+ *    rows % 4 tail rows take the remainder.
  *  - avx2TransposedF64 (dx += W^T dz): a 16-column tile of dx stays
  *    in four registers across the whole row sweep instead of being
  *    loaded and stored once per row; 4-column tiles and scalar
@@ -17,8 +19,9 @@
  *
  * In every kernel each lane performs exactly the scalar kernel's
  * operation sequence for its output element: forward sums in
- * k-ascending order, backward updates in row-ascending order with
- * the dz_i == 0 rows skipped, products and sums rounded separately.
+ * k-ascending order, rank-K sums from +0.0 in term order and then
+ * one add into dW, W^T dz updates in row-ascending order, the
+ * dz_i == 0 terms skipped, products and sums rounded separately.
  * No FMA is used and the file is compiled with -ffp-contract=off,
  * so the compiler cannot fuse a mul+add into one rounding.
  *
@@ -93,23 +96,88 @@ avx2PanelF64(const double *panel, const double *x, double *out,
     }
 }
 
-void
-avx2RankOneF64(double *dw, const double *dz, const double *x, int rows,
-               int cols)
+/** One rank-K term of one dW row's 8-column tile: s += d * x. */
+inline void
+rankKTerm(double d, __m256d x0, __m256d x1, __m256d &s0, __m256d &s1)
 {
-    for (int i = 0; i < rows; ++i) {
-        const double dzi = dz[i];
-        if (dzi == 0.0)
-            continue;
-        const __m256d d = _mm256_set1_pd(dzi);
-        double *row = dw + size_t(i) * cols;
-        int k = 0;
-        for (; k + 4 <= cols; k += 4)
-            _mm256_storeu_pd(row + k,
-                             mulAdd(_mm256_loadu_pd(row + k), d,
-                                    _mm256_loadu_pd(x + k)));
-        for (; k < cols; ++k)
-            row[k] += dzi * x[k];
+    if (d == 0.0)
+        return;
+    const __m256d dv = _mm256_set1_pd(d);
+    s0 = mulAdd(s0, dv, x0);
+    s1 = mulAdd(s1, dv, x1);
+}
+
+/** dw[0..8) += the tile row's sums s0, s1. */
+inline void
+addSums(double *dw, __m256d s0, __m256d s1)
+{
+    _mm256_storeu_pd(dw, _mm256_add_pd(_mm256_loadu_pd(dw), s0));
+    _mm256_storeu_pd(dw + 4, _mm256_add_pd(_mm256_loadu_pd(dw + 4), s1));
+}
+
+/** dW rows [r, r + 4), columns [c, c + 8): eight register sums. */
+inline void
+rankKTile4x8(double *dw, const double *const *dz, const double *const *x,
+             int terms, int r, int c, int cols)
+{
+    __m256d s00 = _mm256_setzero_pd(), s01 = s00, s10 = s00, s11 = s00;
+    __m256d s20 = s00, s21 = s00, s30 = s00, s31 = s00;
+    for (int k = 0; k < terms; ++k) {
+        const __m256d x0 = _mm256_loadu_pd(x[k] + c);
+        const __m256d x1 = _mm256_loadu_pd(x[k] + c + 4);
+        const double *d = dz[k] + r;
+        rankKTerm(d[0], x0, x1, s00, s01);
+        rankKTerm(d[1], x0, x1, s10, s11);
+        rankKTerm(d[2], x0, x1, s20, s21);
+        rankKTerm(d[3], x0, x1, s30, s31);
+    }
+    double *row = dw + size_t(r) * cols + c;
+    addSums(row, s00, s01);
+    addSums(row + cols, s10, s11);
+    addSums(row + 2 * size_t(cols), s20, s21);
+    addSums(row + 3 * size_t(cols), s30, s31);
+}
+
+/** dW row r, columns [c, c + 4): one register sum. */
+inline void
+rankKTile1x4(double *dw, const double *const *dz, const double *const *x,
+             int terms, int r, int c, int cols)
+{
+    __m256d s = _mm256_setzero_pd();
+    for (int k = 0; k < terms; ++k) {
+        const double d = dz[k][r];
+        if (d != 0.0)
+            s = mulAdd(s, _mm256_set1_pd(d), _mm256_loadu_pd(x[k] + c));
+    }
+    double *out = dw + size_t(r) * cols + c;
+    _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), s));
+}
+
+void
+avx2RankKF64(double *dw, const double *const *dz, const double *const *x,
+             int terms, int rows, int cols)
+{
+    const int full = cols - cols % 4;
+    for (int r = 0; r < rows; r += 4) {
+        const int nrows = rows - r < 4 ? rows - r : 4;
+        int c = 0;
+        if (nrows == 4)
+            for (; c + 8 <= full; c += 8)
+                rankKTile4x8(dw, dz, x, terms, r, c, cols);
+        for (; c < full; c += 4)
+            for (int j = 0; j < nrows; ++j)
+                rankKTile1x4(dw, dz, x, terms, r + j, c, cols);
+        for (; c < cols; ++c) {
+            for (int j = 0; j < nrows; ++j) {
+                double sum = 0.0;
+                for (int k = 0; k < terms; ++k) {
+                    const double dzi = dz[k][r + j];
+                    if (dzi != 0.0)
+                        sum += dzi * x[k][c];
+                }
+                dw[size_t(r + j) * cols + c] += sum;
+            }
+        }
     }
 }
 
@@ -162,7 +230,7 @@ avx2TransposedF64(const double *w, const double *dz, double *dx,
     }
 }
 
-const MatvecKernels avx2Kernels{avx2PanelF64, avx2RankOneF64,
+const MatvecKernels avx2Kernels{avx2PanelF64, avx2RankKF64,
                                 avx2TransposedF64, "avx2"};
 
 } // namespace

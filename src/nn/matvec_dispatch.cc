@@ -62,17 +62,39 @@ scalarPanelF64(const double *__restrict panel, const double *__restrict x,
     }
 }
 
+/**
+ * dW += sum_k dz_k x_k^T one row at a time, 8 columns of the row's
+ * sums held across all the terms.
+ */
 void
-scalarRankOneF64(double *__restrict dw, const double *__restrict dz,
-                 const double *__restrict x, int rows, int cols)
+scalarRankKF64(double *__restrict dw, const double *const *dz,
+               const double *const *x, int terms, int rows, int cols)
 {
     for (int i = 0; i < rows; ++i) {
-        const double dzi = dz[i];
-        if (dzi == 0.0)
-            continue;
         double *row = dw + size_t(i) * cols;
-        for (int k = 0; k < cols; ++k)
-            row[k] += dzi * x[k];
+        int c = 0;
+        for (; c + 8 <= cols; c += 8) {
+            double s[8] = {};
+            for (int k = 0; k < terms; ++k) {
+                const double dzi = dz[k][i];
+                if (dzi == 0.0)
+                    continue;
+                const double *xk = x[k] + c;
+                for (int j = 0; j < 8; ++j)
+                    s[j] += dzi * xk[j];
+            }
+            for (int j = 0; j < 8; ++j)
+                row[c + j] += s[j];
+        }
+        for (; c < cols; ++c) {
+            double s = 0.0;
+            for (int k = 0; k < terms; ++k) {
+                const double dzi = dz[k][i];
+                if (dzi != 0.0)
+                    s += dzi * x[k][c];
+            }
+            row[c] += s;
+        }
     }
 }
 
@@ -90,9 +112,9 @@ scalarTransposedF64(const double *__restrict w, const double *__restrict dz,
     }
 }
 
-const MatvecKernels scalarKernels{scalarPanelF64, scalarRankOneF64,
+const MatvecKernels scalarKernels{scalarPanelF64, scalarRankKF64,
                                   scalarTransposedF64, "scalar"};
-const MatvecKernels forcedKernels{scalarPanelF64, scalarRankOneF64,
+const MatvecKernels forcedKernels{scalarPanelF64, scalarRankKF64,
                                   scalarTransposedF64,
                                   "scalar (forced)"};
 

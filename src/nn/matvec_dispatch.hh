@@ -9,7 +9,9 @@
  * the AVX2 kernels. The table holds:
  *
  *  - panelF64:      out = W x from W's packed f64 panel (packPanel);
- *  - rankOneF64:    dW += dz x^T (row-major dW);
+ *  - rankKF64:      dW += sum_k dz_k x_k^T (row-major dW), the K
+ *                   terms summed from +0.0 first and added to dW
+ *                   once; an update that cannot wait is K = 1;
  *  - transposedF64: dx += W^T dz (row-major W).
  *
  * Paths:
@@ -19,15 +21,17 @@
  *  - avx2:   the forward vectorized *across rows* (one row per
  *            lane: 4 rows per register straight from the panel),
  *            the backwards across columns (4 dW or dx elements per
- *            register). Selected only when the kernels were compiled
- *            in AND cpuid reports AVX2.
+ *            register; rank-K keeps a 4-row x 8-column dW tile in
+ *            registers across all K terms). Selected only when the
+ *            kernels were compiled in AND cpuid reports AVX2.
  *
  * Every kernel on every path keeps each output element's operation
- * sequence — forward sums k-ascending, backward updates
- * row-ascending with the dz_i == 0 rows skipped, separate multiply
- * and add, no FMA — so the selection changes speed, never a bit
- * (tests/test_frontend.cc proves it kernel by kernel; the golden
- * suites re-prove it end to end).
+ * sequence — forward sums k-ascending; rank-K sums its terms in
+ * index order from +0.0, then adds the sum to dW; W^T dz updates
+ * row-ascending; backward terms with dz_i == 0 skipped, separate
+ * multiply and add, no FMA — so the selection changes speed, never
+ * a bit (tests/test_frontend.cc proves it kernel by kernel; the
+ * golden suites re-prove it end to end).
  *
  * Setting DIFFTUNE_FORCE_SCALAR (non-empty, not "0") pins the
  * scalar path; CI runs the nn + serve suites both ways.
@@ -42,9 +46,14 @@ namespace difftune::nn
 /** out = W x in double precision, W given as its packed panel. */
 using PanelMatvecF64Fn = void (*)(const double *panel, const double *x,
                                   double *out, int rows, int cols);
-/** dW[i,:] += dz_i * x^T for every row i with dz_i != 0. */
-using RankOneF64Fn = void (*)(double *dw, const double *dz,
-                              const double *x, int rows, int cols);
+/**
+ * dW[i][j] += s, where s starts at +0.0 and adds dz[k][i] * x[k][j]
+ * for k = 0 .. terms - 1 in order, skipping every k with
+ * dz[k][i] == 0. dz[k] has rows entries, x[k] cols.
+ */
+using RankKF64Fn = void (*)(double *dw, const double *const *dz,
+                            const double *const *x, int terms, int rows,
+                            int cols);
 /** dx += W^T dz, rows ascending, rows with dz_i == 0 skipped. */
 using TransposedF64Fn = void (*)(const double *w, const double *dz,
                                  double *dx, int rows, int cols);
@@ -53,7 +62,7 @@ using TransposedF64Fn = void (*)(const double *w, const double *dz,
 struct MatvecKernels
 {
     PanelMatvecF64Fn panelF64 = nullptr;
-    RankOneF64Fn rankOneF64 = nullptr;
+    RankKF64Fn rankKF64 = nullptr;
     TransposedF64Fn transposedF64 = nullptr;
     const char *name = "";
 };

@@ -11,18 +11,17 @@ namespace difftune::nn
 {
 
 void
-Sgd::step(ParamSet &params, const Grads &grads)
+Sgd::update(ParamSet &params, const Grads &grads, size_t tensor,
+            size_t lo, size_t hi)
 {
-    for (size_t i = 0; i < params.count(); ++i) {
-        Tensor &p = params[int(i)];
-        const Tensor &g = grads[int(i)];
-        for (size_t j = 0; j < p.data.size(); ++j)
-            p.data[j] -= lr_ * g.data[j];
-    }
+    double *p = params[int(tensor)].data.data();
+    const double *g = grads[int(tensor)].data.data();
+    for (size_t j = lo; j < hi; ++j)
+        p[j] -= lr_ * g[j];
 }
 
 void
-Adam::step(ParamSet &params, const Grads &grads)
+Adam::beginStep(const ParamSet &params)
 {
     if (m_.empty()) {
         for (size_t i = 0; i < params.count(); ++i) {
@@ -31,21 +30,25 @@ Adam::step(ParamSet &params, const Grads &grads)
         }
     }
     ++steps_;
-    const double bc1 = 1.0 - std::pow(beta1_, double(steps_));
-    const double bc2 = 1.0 - std::pow(beta2_, double(steps_));
-    for (size_t i = 0; i < params.count(); ++i) {
-        Tensor &p = params[int(i)];
-        const Tensor &g = grads[int(i)];
-        Tensor &m = m_[i];
-        Tensor &v = v_[i];
-        for (size_t j = 0; j < p.data.size(); ++j) {
-            const double grad = g.data[j];
-            m.data[j] = beta1_ * m.data[j] + (1.0 - beta1_) * grad;
-            v.data[j] = beta2_ * v.data[j] + (1.0 - beta2_) * grad * grad;
-            const double mhat = m.data[j] / bc1;
-            const double vhat = v.data[j] / bc2;
-            p.data[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-        }
+    bc1_ = 1.0 - std::pow(beta1_, double(steps_));
+    bc2_ = 1.0 - std::pow(beta2_, double(steps_));
+}
+
+void
+Adam::update(ParamSet &params, const Grads &grads, size_t tensor,
+             size_t lo, size_t hi)
+{
+    double *p = params[int(tensor)].data.data();
+    const double *g = grads[int(tensor)].data.data();
+    double *m = m_[tensor].data.data();
+    double *v = v_[tensor].data.data();
+    for (size_t j = lo; j < hi; ++j) {
+        const double grad = g[j];
+        m[j] = beta1_ * m[j] + (1.0 - beta1_) * grad;
+        v[j] = beta2_ * v[j] + (1.0 - beta2_) * grad * grad;
+        const double mhat = m[j] / bc1_;
+        const double vhat = v[j] / bc2_;
+        p[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
 }
 

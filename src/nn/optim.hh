@@ -13,14 +13,33 @@
 namespace difftune::nn
 {
 
-/** Optimizer interface over a ParamSet + averaged Grads. */
+/**
+ * Optimizer interface over a ParamSet + averaged Grads. A step is
+ * beginStep() followed by update() over every element once; each
+ * element's update reads only its own state, gradient and weight,
+ * so update() calls on disjoint element ranges may run
+ * concurrently and split a step any way without changing a bit.
+ */
 class Optimizer
 {
   public:
     virtual ~Optimizer() = default;
 
     /** Apply one update using @p grads; does not zero the grads. */
-    virtual void step(ParamSet &params, const Grads &grads) = 0;
+    void
+    step(ParamSet &params, const Grads &grads)
+    {
+        beginStep(params);
+        for (size_t t = 0; t < params.count(); ++t)
+            update(params, grads, t, 0, params[int(t)].size());
+    }
+
+    /** Start a step: the state every element's update shares. */
+    virtual void beginStep(const ParamSet &params) = 0;
+
+    /** Update elements [lo, hi) of tensor @p tensor. */
+    virtual void update(ParamSet &params, const Grads &grads,
+                        size_t tensor, size_t lo, size_t hi) = 0;
 };
 
 /** Plain stochastic gradient descent. */
@@ -29,7 +48,9 @@ class Sgd : public Optimizer
   public:
     explicit Sgd(double lr) : lr_(lr) {}
 
-    void step(ParamSet &params, const Grads &grads) override;
+    void beginStep(const ParamSet &) override {}
+    void update(ParamSet &params, const Grads &grads, size_t tensor,
+                size_t lo, size_t hi) override;
 
   private:
     double lr_;
@@ -45,7 +66,9 @@ class Adam : public Optimizer
     {
     }
 
-    void step(ParamSet &params, const Grads &grads) override;
+    void beginStep(const ParamSet &params) override;
+    void update(ParamSet &params, const Grads &grads, size_t tensor,
+                size_t lo, size_t hi) override;
 
     long stepCount() const { return steps_; }
 
@@ -56,6 +79,7 @@ class Adam : public Optimizer
   private:
     double lr_, beta1_, beta2_, eps_;
     long steps_ = 0;
+    double bc1_ = 1.0, bc2_ = 1.0; ///< this step's bias corrections
     std::vector<Tensor> m_, v_;
 };
 

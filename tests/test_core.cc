@@ -1,18 +1,22 @@
 /**
  * @file
  * Tests for the DiffTune core: evaluation, the raw-table
- * reparameterization, normalization, masking, and a miniature
- * end-to-end pipeline smoke test.
+ * reparameterization, normalization, masking, the BatchRunner's
+ * split optimizer step, and a miniature end-to-end pipeline smoke
+ * test.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "core/difftune.hh"
 #include "core/evaluate.hh"
 #include "core/ithemal.hh"
 #include "core/raw_table.hh"
+#include "core/trainer.hh"
 #include "hw/default_table.hh"
 #include "isa/parse.hh"
 #include "mca/xmca.hh"
@@ -35,6 +39,58 @@ testDataset()
     static const bhive::Dataset dataset(testCorpus(),
                                         hw::Uarch::Haswell);
     return dataset;
+}
+
+/** Every element of @p tensors, tensor by tensor, as raw bits. */
+template <typename Tensors>
+std::vector<uint64_t>
+flatBits(const Tensors &tensors)
+{
+    std::vector<uint64_t> out;
+    for (size_t t = 0; t < tensors.count(); ++t)
+        for (double v : tensors[int(t)].data) {
+            uint64_t u = 0;
+            std::memcpy(&u, &v, sizeof(u));
+            out.push_back(u);
+        }
+    return out;
+}
+
+TEST(BatchRunner, ParallelApplyMatchesSerialStep)
+{
+    // ~31k elements, above the size apply() splits over its workers:
+    // the split clip rescale and Adam step must match Grads::clipL2
+    // plus a serial Adam::step bit for bit, clipped or not.
+    nn::ParamSet params;
+    params.add(300, 100);
+    params.add(7, 3);
+    params.add(1000, 1);
+    Rng rng(91);
+    for (size_t t = 0; t < params.count(); ++t)
+        params[int(t)].uniformInit(rng, 1.0);
+    nn::ParamSet serial = params;
+
+    BatchRunner runner(params, 4);
+    nn::Adam adam(0.01), serial_adam(0.01);
+    for (int step = 0; step < 4; ++step) {
+        runner.runBatch(0, 20, [&](size_t i, nn::Graph &, nn::Grads &g) {
+            for (size_t t = 0; t < g.count(); ++t) {
+                std::vector<double> &data = g[int(t)].data;
+                for (size_t e = 0; e < data.size(); ++e)
+                    data[e] += std::sin(double(i * 7 + e * 3 + t + step));
+            }
+            return 0.0;
+        });
+        const double clip = step == 2 ? 0.0 : step == 3 ? 1e9 : 5.0;
+        nn::Grads expect = runner.batchGrads();
+        if (clip > 0.0)
+            expect.clipL2(clip);
+        serial_adam.step(serial, expect);
+        runner.apply(params, adam, clip);
+        EXPECT_EQ(flatBits(expect), flatBits(runner.batchGrads()))
+            << "step " << step;
+        EXPECT_EQ(flatBits(serial), flatBits(params)) << "step " << step;
+    }
 }
 
 TEST(Evaluate, MatchesManualMape)

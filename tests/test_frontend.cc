@@ -531,7 +531,7 @@ TEST(FrontendDispatch, SelectionMatchesEnvironmentAndCpu)
         force && *force && std::strcmp(force, "0") != 0;
     const nn::MatvecKernels &selected = nn::matvecKernels();
     ASSERT_NE(nullptr, selected.panelF64);
-    ASSERT_NE(nullptr, selected.rankOneF64);
+    ASSERT_NE(nullptr, selected.rankKF64);
     ASSERT_NE(nullptr, selected.transposedF64);
     if (forced)
         EXPECT_STREQ("scalar (forced)", nn::matvecPathName());
@@ -561,9 +561,12 @@ TEST(FrontendDispatch, Avx2MatvecBitIdenticalToScalar)
     std::normal_distribution<double> dist(0.0, 3.0);
     // Cover every row/col remainder class of every kernel (forward:
     // 16-row groups of 4-row panel blocks plus tail rows; W^T dz:
-    // 16- and 4-column tiles plus tail columns), plus larger shapes.
+    // 16- and 4-column tiles plus tail columns; rank-K: 4x8 tiles,
+    // 4-column tiles, tail columns and tail rows), plus larger
+    // shapes and the block LSTM's input width, 81.
     const int rows_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 23, 40};
-    const int cols_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 17, 31, 33, 50, 64};
+    const int cols_set[] = {1,  2,  3,  4,  5,  7,  8,
+                            9,  17, 31, 33, 50, 64, 81};
     for (int rows : rows_set) {
         for (int cols : cols_set) {
             std::vector<double> w(size_t(rows) * size_t(cols));
@@ -610,12 +613,77 @@ TEST(FrontendDispatch, Avx2MatvecBitIdenticalToScalar)
             for (int k = 0; k < cols; ++k)
                 dx[size_t(k)] = k % 4 == 3 ? -0.0 : dist(rng);
 
-            std::vector<double> dw_ref = dw, dw_got = dw;
-            scalar.rankOneF64(dw_ref.data(), dz.data(), x.data(), rows,
-                              cols);
-            avx2->rankOneF64(dw_got.data(), dz.data(), x.data(), rows,
-                             cols);
-            EXPECT_TRUE(sameBits(dw_ref, dw_got)) << "rank-1 " << shape;
+            // Rank-K with K = 1 is the old in-place rank-1 update on a
+            // buffer without -0.0 (x here holds -0.0).
+            std::vector<double> x0 = x;
+            for (int k = 3; k < cols; k += 4)
+                x0[size_t(k)] = -0.0;
+            std::vector<double> dw_ref = dw;
+            for (int r = 0; r < rows; ++r) {
+                const double dzr = dz[size_t(r)];
+                if (dzr == 0.0)
+                    continue;
+                for (int k = 0; k < cols; ++k)
+                    dw_ref[size_t(r) * cols + k] += dzr * x0[size_t(k)];
+            }
+            const double *dz1 = dz.data();
+            const double *x1 = x0.data();
+            std::vector<double> dw_got = dw;
+            scalar.rankKF64(dw_got.data(), &dz1, &x1, 1, rows, cols);
+            EXPECT_TRUE(sameBits(dw_ref, dw_got))
+                << "scalar rank-1 " << shape;
+            dw_got = dw;
+            avx2->rankKF64(dw_got.data(), &dz1, &x1, 1, rows, cols);
+            EXPECT_TRUE(sameBits(dw_ref, dw_got)) << "avx2 rank-1 " << shape;
+
+            // Rank-K: the reference is K in-place rank-1 updates into a
+            // zeroed buffer, then one add into the sink. Row 6 is zero
+            // in every term, other rows in some; the sink holds -0.0.
+            for (int terms : {1, 2, 5, 32, 350}) {
+                const size_t count = static_cast<size_t>(terms);
+                std::vector<std::vector<double>> dzs(count), xs(count);
+                std::vector<const double *> dzp, xp;
+                for (int t = 0; t < terms; ++t) {
+                    std::vector<double> &dzt = dzs[size_t(t)];
+                    std::vector<double> &xt = xs[size_t(t)];
+                    for (int r = 0; r < rows; ++r)
+                        dzt.push_back(r % 7 == 6             ? 0.0
+                                      : (r + t) % 3 == 1     ? 0.0
+                                      : (r + 2 * t) % 5 == 2 ? -0.0
+                                                             : dist(rng));
+                    for (int k = 0; k < cols; ++k)
+                        xt.push_back((k + t) % 4 == 3 ? -0.0
+                                                      : dist(rng));
+                    dzp.push_back(dzt.data());
+                    xp.push_back(xt.data());
+                }
+                std::vector<double> acc(w.size(), 0.0);
+                for (int t = 0; t < terms; ++t)
+                    for (int r = 0; r < rows; ++r) {
+                        const double dzr = dzs[size_t(t)][size_t(r)];
+                        if (dzr == 0.0)
+                            continue;
+                        for (int k = 0; k < cols; ++k)
+                            acc[size_t(r) * cols + k] +=
+                                dzr * xs[size_t(t)][size_t(k)];
+                    }
+                std::vector<double> sink(w.size());
+                for (size_t e = 0; e < sink.size(); ++e)
+                    sink[e] = e % 9 == 4 ? -0.0 : dist(rng);
+                std::vector<double> ref = sink;
+                for (size_t e = 0; e < ref.size(); ++e)
+                    ref[e] += acc[e];
+                const std::string what =
+                    "rank-" + std::to_string(terms) + " " + shape;
+                std::vector<double> out = sink;
+                scalar.rankKF64(out.data(), dzp.data(), xp.data(), terms,
+                                rows, cols);
+                EXPECT_TRUE(sameBits(ref, out)) << "scalar " << what;
+                out = sink;
+                avx2->rankKF64(out.data(), dzp.data(), xp.data(), terms,
+                               rows, cols);
+                EXPECT_TRUE(sameBits(ref, out)) << "avx2 " << what;
+            }
 
             std::vector<double> dx_ref = dx, dx_got = dx;
             scalar.transposedF64(w.data(), dz.data(), dx_ref.data(),

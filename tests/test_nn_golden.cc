@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -322,9 +324,13 @@ regenRequested()
 class TempFile
 {
   public:
+    // The process id keeps this suite's two concurrent CTest entries
+    // (test_nn_golden and test_nn_golden.threads4) off each other's
+    // file: one removing it while the other reads it fails the read.
     explicit TempFile(const char *name)
         : path_((std::filesystem::temp_directory_path() /
-                 (std::string("difftune_golden_") + name))
+                 ("difftune_golden_" + std::to_string(::getpid()) + "_" +
+                  name))
                     .string())
     {
     }

@@ -330,20 +330,26 @@ TEST(GradCheckFused, ScaledSoftClamp)
 // ----------------------------------- fused == unfused, bit-exact
 
 /**
- * Build @p body twice — fused and unfused — with fresh Grads each,
- * backward from the same loss construction, and assert the loss
- * value and every accumulated gradient are bit-identical.
+ * Build @p body three times — fused, unfused, and unfused on the
+ * frozen reference kernels — with fresh Grads each, backward from
+ * the same loss construction, and assert the loss value and every
+ * accumulated gradient are bit-identical. The third pass adds each
+ * weight-gradient term to a tape buffer with an in-place rank-1
+ * update, in reverse tape order, the sequence the fused pass's
+ * deferred rank-K sums must reproduce.
  */
 void
 checkFusedUnfusedBits(
     ParamSet &params,
     const std::function<Var(Graph &, Ctx &)> &body)
 {
-    double loss_val[2];
-    std::vector<std::vector<double>> grad_bits[2];
-    for (int pass = 0; pass < 2; ++pass) {
+    constexpr int kPasses = 3;
+    double loss_val[kPasses];
+    std::vector<std::vector<double>> grad_bits[kPasses];
+    for (int pass = 0; pass < kPasses; ++pass) {
         Grads grads(params);
         Graph g;
+        g.setReferenceKernels(pass == 2);
         Ctx ctx{g, params, &grads, /*fuse=*/pass == 0};
         Var loss = body(g, ctx);
         g.backward(loss);
@@ -351,14 +357,18 @@ checkFusedUnfusedBits(
         for (size_t p = 0; p < grads.count(); ++p)
             grad_bits[pass].push_back(grads[int(p)].data);
     }
-    EXPECT_EQ(bits(loss_val[0]), bits(loss_val[1]));
-    ASSERT_EQ(grad_bits[0].size(), grad_bits[1].size());
-    for (size_t p = 0; p < grad_bits[0].size(); ++p) {
-        ASSERT_EQ(grad_bits[0][p].size(), grad_bits[1][p].size());
-        for (size_t i = 0; i < grad_bits[0][p].size(); ++i)
-            EXPECT_EQ(bits(grad_bits[0][p][i]),
-                      bits(grad_bits[1][p][i]))
-                << "param " << p << " index " << i;
+    for (int pass = 1; pass < kPasses; ++pass) {
+        EXPECT_EQ(bits(loss_val[0]), bits(loss_val[pass]))
+            << "pass " << pass;
+        ASSERT_EQ(grad_bits[0].size(), grad_bits[pass].size());
+        for (size_t p = 0; p < grad_bits[0].size(); ++p) {
+            ASSERT_EQ(grad_bits[0][p].size(), grad_bits[pass][p].size());
+            for (size_t i = 0; i < grad_bits[0][p].size(); ++i)
+                EXPECT_EQ(bits(grad_bits[0][p][i]),
+                          bits(grad_bits[pass][p][i]))
+                    << "pass " << pass << " param " << p << " index "
+                    << i;
+        }
     }
 }
 
@@ -382,17 +392,49 @@ TEST(FusedEquivalence, LstmStackSequence)
     Rng rng(111);
     ParamSet params;
     LstmStack stack(params, 3, 4, 2, rng);
+    for (int steps : {1, 7, 40}) {
+        SCOPED_TRACE(steps);
+        checkFusedUnfusedBits(params, [&](Graph &g, Ctx &ctx) {
+            std::vector<Var> sequence;
+            Rng data_rng(41);
+            for (int t = 0; t < steps; ++t) {
+                Tensor xv(3, 1);
+                xv.uniformInit(data_rng, 1.0);
+                sequence.push_back(g.input(xv));
+            }
+            Var h = stack.runSequence(ctx, sequence);
+            Rng probe_rng(43);
+            return probeLoss(g, h, probe_rng);
+        });
+    }
+}
+
+TEST(FusedEquivalence, LstmWeightAlsoReadByMatmul)
+{
+    // Wh also feeds a matmul, so it keeps a tape gradient buffer and
+    // each fused cell adds to it at its own place in the sweep,
+    // around the matmul's own update.
+    Rng rng(116);
+    ParamSet params;
+    LstmCell cell(params, 3, 4, rng);
+    const int wh = 1; // LstmCell registers wx, wh, bias in that order
+    ASSERT_EQ(16, params[wh].rows);
+    ASSERT_EQ(4, params[wh].cols);
     checkFusedUnfusedBits(params, [&](Graph &g, Ctx &ctx) {
-        std::vector<Var> sequence;
-        Rng data_rng(41);
-        for (int t = 0; t < 4; ++t) {
+        Rng data_rng(59);
+        LstmCell::State s = cell.initial(ctx);
+        std::vector<Var> parts;
+        for (int t = 0; t < 5; ++t) {
             Tensor xv(3, 1);
             xv.uniformInit(data_rng, 1.0);
-            sequence.push_back(g.input(xv));
+            s = cell.step(ctx, g.input(xv), s);
+            if (t == 2)
+                parts.push_back(
+                    g.matmul(g.param(ctx.params, wh, ctx.sink), s.h));
         }
-        Var h = stack.runSequence(ctx, sequence);
-        Rng probe_rng(43);
-        return probeLoss(g, h, probe_rng);
+        parts.push_back(s.h);
+        Rng probe_rng(61);
+        return probeLoss(g, g.concat(parts), probe_rng);
     });
 }
 
@@ -500,6 +542,35 @@ TEST(ArenaTape, ClearRebuildReproducesBitsWithoutGrowth)
         EXPECT_EQ(g.numNodes(), nodes);
         EXPECT_EQ(g.arenaDoubles(), doubles);
         EXPECT_EQ(grads[0].data, first_grads);
+    }
+}
+
+TEST(ArenaTape, CellOnlyWeightsHaveNoTapeGradient)
+{
+    // Wx and Wh feed only LSTM cells: their gradients go straight
+    // into the sink, so backward() gives them no tape buffer. The
+    // bias is also written by the cell's bias update and keeps one.
+    Rng rng(117);
+    ParamSet params;
+    LstmCell cell(params, 3, 4, rng);
+    Grads grads(params);
+    Graph g;
+    Ctx ctx{g, params, &grads};
+    Tensor xv(3, 1);
+    xv.uniformInit(rng, 1.0);
+    LstmCell::State s = cell.initial(ctx);
+    s = cell.step(ctx, g.input(xv), s);
+    s = cell.step(ctx, g.input(xv), s);
+    Rng probe_rng(67);
+    g.backward(probeLoss(g, s.h, probe_rng));
+    EXPECT_EQ(nullptr, g.grad(g.param(params, 0, &grads)).data);
+    EXPECT_EQ(nullptr, g.grad(g.param(params, 1, &grads)).data);
+    EXPECT_NE(nullptr, g.grad(g.param(params, 2, &grads)).data);
+    for (int p = 0; p < 3; ++p) {
+        bool nonzero = false;
+        for (double v : grads[p].data)
+            nonzero = nonzero || v != 0.0;
+        EXPECT_TRUE(nonzero) << "param " << p;
     }
 }
 

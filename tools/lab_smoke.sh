@@ -8,12 +8,15 @@
 #      {1, 2, 4} (--workers) with --check: every reply must be
 #      bit-exact against the engine's uncached reference, so the
 #      dispatcher count provably changes only speed
-#   3. serve the checkpoint through a two-dispatcher difftuned
+#   3. require `replay --daemon 70000`, `replay --daemon abc` and
+#      `difftune_compare check --daemon 70000` to exit 3 naming
+#      --daemon (a port must never wrap into another one)
+#   4. serve the checkpoint through a two-dispatcher difftuned
 #      (--workers 2), replay the trace against it over the wire
 #      (self-consistency audit), and difftune_compare check the
 #      daemon against a checkpoint-built .preds artifact (exit 0 =
 #      every block bit-exact across the process boundary)
-#   4. SIGTERM the daemon and require a graceful-drain exit 0
+#   5. SIGTERM the daemon and require a graceful-drain exit 0
 #
 # Usage: lab_smoke.sh <difftuned> <difftune_lab> <difftune_compare>
 #
@@ -66,6 +69,26 @@ for workers in 1 2 4; do
         --workers "$workers" --capacity 16 --check
 done
 
+step "replay and check refuse ports they cannot dial as given"
+# A refused port exits 3 at once, naming the flag; one that wrapped
+# would dial another port instead.
+"$COMPARE" snapshot "$WORKDIR/ref.preds" --ckpt "$WORKDIR/m.ckpt"
+expect_port_refused() {
+    local rc=0 out
+    out=$(timeout 10 "$@" 2>&1) || rc=$?
+    if [ "$rc" -ne 3 ] || ! grep -q -e '--daemon' <<<"$out"; then
+        echo "FAIL: $* exited $rc, want 3 naming --daemon;" \
+            "output: $out"
+        exit 1
+    fi
+    echo "   $(basename "$1") $2 --daemon ${*: -1}: $out"
+}
+for BAD_PORT in 70000 abc; do
+    expect_port_refused "$LAB" replay "$WORKDIR/a.trace" \
+        --daemon "$BAD_PORT"
+done
+expect_port_refused "$COMPARE" check "$WORKDIR/ref.preds" --daemon 70000
+
 step "start two-dispatcher difftuned (--workers 2, ephemeral port)"
 "$DIFFTUNED" serve default="$WORKDIR/m.ckpt" --workers 2 \
     --port 0 --port-file "$WORKDIR/port.txt" &
@@ -87,7 +110,6 @@ step "replay the trace against the two-dispatcher daemon"
 "$LAB" replay "$WORKDIR/a.trace" --daemon "$PORT"
 
 step "compare: checkpoint .preds vs two-dispatcher daemon must exit 0"
-"$COMPARE" snapshot "$WORKDIR/ref.preds" --ckpt "$WORKDIR/m.ckpt"
 "$COMPARE" check "$WORKDIR/ref.preds" --daemon "$PORT" > /dev/null
 
 step "SIGTERM: graceful drain must exit 0"
