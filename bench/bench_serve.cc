@@ -14,23 +14,23 @@
  *
  * Serving API v2 additions: a resident-weight-bytes table showing
  * what the shared WeightSnapshot deduplicates versus the pre-v2
- * one-copy-per-shard layout, and a multi-threaded client mode
+ * one-copy-per-executor layout, and a multi-threaded client mode
  * (serve/workload.hh compareAsyncClients) pitting N concurrent
- * threads submitting through the AsyncEngine micro-batcher against
- * single-caller synchronous submission.
+ * client threads against one, all submitting through the
+ * AsyncEngine dispatchers.
  *
  * Floors (see docs/BENCHMARKS.md): the engine must serve
  * bit-exactly at >= 3x over naive; under --smoke the speedup must
  * additionally reach >= 10x (the PR-4 batched-execution floor,
  * enforced by the CI bench-smoke job), and on >= 2 cores the
- * multi-client aggregate must beat single-caller by >= 1.5x, as the
+ * multi-client aggregate must beat one client by >= 1.5x, as the
  * median ratio of interleaved pass pairs (skipped, not failed, on
- * 1-core runners). The telemetry
- * layer (src/obs/) adds two more checks: the instrumented warm path
- * must stay within 5% of an engine built with the obs kill switch
- * off, and the /statsz dump printed at the end must reconcile
- * exactly (requests == text_hits + text_misses == hits + misses),
- * parsed back out of the dump text itself.
+ * 1-core runners). The telemetry layer (src/obs/) adds two more
+ * checks: the instrumented warm path must stay within 5% of an
+ * engine built with the obs kill switch off, and the /statsz dump
+ * printed at the end must reconcile exactly (requests == text_hits
+ * + text_misses == hits + misses), parsed back out of the dump text
+ * itself.
  */
 
 #include <algorithm>
@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <bit>
 #include <filesystem>
+#include <memory>
 #include <thread>
 
 #include "bench/bench_util.hh"
@@ -61,12 +62,11 @@ using namespace difftune;
 /** CI floors under --smoke (docs/BENCHMARKS.md). */
 constexpr double smokeSpeedupFloor = 10.0;
 /**
- * Multi-client floor: concurrent async submission must beat
- * single-caller submission by this much in aggregate, as the median
- * per-pair ratio of interleaved pass pairs
- * (serve::compareAsyncClients). Only enforced on >= 2 cores — on a
- * 1-core runner the comparison is skipped (the dispatchers and the
- * clients would just time-slice).
+ * Multi-client floor: concurrent clients must beat one client on the
+ * same submit path by this much in aggregate, as the median per-pair
+ * ratio of interleaved pass pairs (serve::compareAsyncClients).
+ * Only enforced on >= 2 cores — on a 1-core runner the comparison is
+ * skipped (the dispatchers and the clients would just time-slice).
  */
 constexpr double asyncSpeedupFloor = 1.5;
 
@@ -82,8 +82,9 @@ constexpr double frontEndWarmFloor = 3.0;
 /**
  * Telemetry overhead gate: the respelled-warm path served by an
  * instrumented engine must cost at most this ratio of the same pass
- * on an engine built with the obs kill switch off. Enforced under
- * --smoke only (wall-clock ratio; min-of-N passes bounds the noise).
+ * on an engine built with the obs kill switch off, as the median
+ * per-pair ratio of interleaved on/off pass pairs. Enforced under
+ * --smoke only.
  */
 constexpr double obsOverheadGate = 1.05;
 
@@ -355,116 +356,124 @@ main(int argc, char **argv)
             // instrumented engine versus one built with the obs kill
             // switch off. Each pass gets fresh spellings so the text
             // cache keeps misses; passes interleave the two engines
-            // (alternating which runs first) and the gate compares
-            // the per-variant *minimums*. Instrumentation is
-            // deterministic work added to every iteration, so no
-            // pass can dip below the true cost — while scheduler
-            // bursts only ever inflate a pass. The min/min ratio is
-            // therefore a consistent overhead estimator even on a
-            // noisy shared runner, where any single pair is not.
-            // Skipped entirely when DIFFTUNE_OBS_OFF already
-            // disabled telemetry.
+            // (alternating which runs first), and the gate is the
+            // MEDIAN of per-pair on/off ratios — each pair runs
+            // back-to-back so slow epochs on a shared runner are
+            // common-mode within a pair, and a steal-time burst
+            // landing inside one run makes one outlier pair the
+            // median ignores. Pairs repeat until the timed passes
+            // add up to two seconds (at least 32 pairs), as in
+            // serve::compareAsyncClients, so the ratio never rests
+            // on a moment of the host. Skipped entirely when
+            // DIFFTUNE_OBS_OFF already disabled telemetry.
             const std::string obs_prefix = engine.metricPrefix();
             if (!obs_prefix.empty()) {
-                const auto respell = [](const std::string &text,
-                                        const std::string &gap) {
-                    std::string out = gap;
-                    for (const char c : text) {
-                        if (c == ',')
-                            out += gap + ",";
-                        else if (c == '\n')
-                            out += "\n" + gap;
-                        else
-                            out += c;
-                    }
-                    return out;
-                };
-                constexpr int overhead_passes = 32;
                 // Every pass gets a distinct spelling (so the text
-                // LRU keeps missing) of the SAME length: a 6-char
-                // whitespace gap whose space/tab pattern encodes the
-                // pass index. Equal lengths matter — parse cost
-                // scales with text, so length-varying pads would
-                // make one pass the unique minimum and the min/min
-                // gate would rest on a single noisy pair. The
-                // trailing space keeps pattern 0 distinct from the
-                // tab-respelled warm pass above.
-                std::vector<std::vector<std::string>> pass_texts;
-                pass_texts.reserve(overhead_passes + 1);
-                for (int p = 0; p < overhead_passes + 1; ++p) {
-                    std::string gap;
+                // LRU keeps missing) of the SAME length: 7-char
+                // whitespace gaps (6 space/tab bits and a space).
+                // The gap that leads each text encodes the low 6
+                // bits of the pass index, the gaps before commas and
+                // after newlines (every canonical text ends in one)
+                // the next 6, so 4096 passes stay distinct. Equal
+                // lengths matter — parse cost scales with text, so
+                // length-varying pads would skew some passes.
+                constexpr int max_passes = 1 << 12;
+                const auto gap = [](int bits) {
+                    std::string out;
                     for (int bit = 0; bit < 6; ++bit)
-                        gap += (p >> bit) & 1 ? '\t' : ' ';
-                    gap += ' ';
-                    pass_texts.emplace_back();
-                    pass_texts.back().reserve(fe_n);
-                    for (const std::string &text : fe_texts)
-                        pass_texts.back().push_back(
-                            respell(text, gap));
-                }
-                serve::AsyncEngine on_engine(artifact);
-                obs::setEnabled(false);
-                serve::AsyncEngine off_engine(artifact);
-                obs::setEnabled(true);
-                for (const std::string &text : fe_texts) {
-                    on_engine.predict(text); // cold fill
-                    off_engine.predict(text);
-                }
-                // Passes interleave on/off (alternating which goes
-                // first) so frequency scaling, cache warm-up, and
-                // any first-runner penalty hit both sides alike.
-                // Pass 0 is an untimed warm-up pair: the first pass
-                // after process start consistently measures slow
-                // (page-cache and allocator warm-up). The gate is
-                // the MEDIAN of per-pair on/off ratios — each pair
-                // runs back-to-back so slow epochs on this shared
-                // runner are common-mode within a pair, and a
-                // steal-time burst landing inside one run makes one
-                // outlier pair the median ignores.
+                        out += (bits >> bit) & 1 ? '\t' : ' ';
+                    return out + ' ';
+                };
+                const auto respell_pass = [&](int pass) {
+                    const std::string lead = gap(pass & 63);
+                    const std::string inner = gap(pass >> 6);
+                    std::vector<std::string> texts;
+                    texts.reserve(fe_n);
+                    for (const std::string &text : fe_texts) {
+                        std::string out = lead;
+                        for (const char c : text) {
+                            if (c == ',')
+                                out += inner + ",";
+                            else if (c == '\n')
+                                out += "\n" + inner;
+                            else
+                                out += c;
+                        }
+                        texts.push_back(std::move(out));
+                    }
+                    return texts;
+                };
+                // Each pair of engines serves pairs_per_engines
+                // timed pairs and is then replaced. Every predict
+                // here is a hand-off to a dispatcher thread, whose
+                // placement on the host's cores lasts as long as the
+                // thread and skews every pass it serves: one on/off
+                // engine pair per process read the two minimum
+                // passes up to ~10% apart either way on the 4-vCPU
+                // host, far more than the instrumentation costs.
+                // Fresh engines draw fresh threads, so the median
+                // spans many placements. The gate engines report to
+                // a private registry, keeping the /statsz dump below
+                // to the first engine's.
+                constexpr int pairs_per_engines = 16;
+                obs::MetricRegistry gate_metrics;
+                serve::AsyncConfig gate_config;
+                gate_config.registry = &gate_metrics;
+                std::unique_ptr<serve::AsyncEngine> on_engine;
+                std::unique_ptr<serve::AsyncEngine> off_engine;
+                // The first pair on each engine pair is an untimed
+                // warm-up: the first pass after process start, or on
+                // fresh threads, consistently measures slow. Each
+                // pass's spellings are built just before it runs, so
+                // both engines read them from cache.
+                constexpr size_t min_pairs = 32;
+                constexpr double min_seconds = 2.0;
                 double on_us = 1e300;
                 double off_us = 1e300;
-                bool on_first = true;
-                size_t touch = 0;
+                double timed_seconds = 0.0;
                 std::vector<double> ratios;
-                ratios.reserve(overhead_passes);
-                for (const auto &texts : pass_texts) {
-                    // Fault this pass's fresh strings into cache so
-                    // the first-position engine does not pay their
-                    // cold misses (reading bytes leaves the text
-                    // LRU untouched — a predict would not).
-                    for (const std::string &text : texts)
-                        for (const char c : text)
-                            touch += size_t(c);
-                    const auto run_on = [&] {
+                for (int pass = 0;
+                     pass < max_passes &&
+                     (ratios.size() < min_pairs ||
+                      timed_seconds < min_seconds);
+                     ++pass) {
+                    const bool fresh =
+                        pass % (pairs_per_engines + 1) == 0;
+                    if (fresh) {
+                        on_engine.reset();
+                        off_engine.reset();
+                        on_engine = std::make_unique<serve::AsyncEngine>(
+                            artifact, gate_config);
+                        obs::setEnabled(false);
+                        off_engine = std::make_unique<serve::AsyncEngine>(
+                            artifact, gate_config);
+                        obs::setEnabled(true);
+                        on_engine->predictAll(fe_texts); // cold fill
+                        off_engine->predictAll(fe_texts);
+                    }
+                    const std::vector<std::string> texts =
+                        respell_pass(pass);
+                    const auto run = [&](serve::AsyncEngine &e) {
                         return perBlockUs([&] {
                             for (const std::string &text : texts)
-                                on_engine.predict(text);
-                        });
-                    };
-                    const auto run_off = [&] {
-                        return perBlockUs([&] {
-                            for (const std::string &text : texts)
-                                off_engine.predict(text);
+                                e.predict(text);
                         });
                     };
                     double on, off;
-                    if (on_first) {
-                        on = run_on();
-                        off = run_off();
+                    if (pass % 2 == 0) {
+                        on = run(*on_engine);
+                        off = run(*off_engine);
                     } else {
-                        off = run_off();
-                        on = run_on();
+                        off = run(*off_engine);
+                        on = run(*on_engine);
                     }
-                    on_first = !on_first;
-                    if (&texts == &pass_texts.front())
+                    if (fresh)
                         continue; // warm-up pair: discard
                     on_us = std::min(on_us, on);
                     off_us = std::min(off_us, off);
                     ratios.push_back(on / off);
+                    timed_seconds += (on + off) * 1e-6 * double(fe_n);
                 }
-                // Keep the cache-priming reads observable.
-                if (touch == size_t(-1))
-                    std::cout << "";
                 std::nth_element(ratios.begin(),
                                  ratios.begin() +
                                      long(ratios.size() / 2),
@@ -479,7 +488,7 @@ main(int argc, char **argv)
                 ot.addRow({"instrumentation overhead",
                            fmtDouble((ratio - 1.0) * 100.0, 1) + "%",
                            std::string("median of ") +
-                               std::to_string(overhead_passes) +
+                               std::to_string(ratios.size()) +
                                " interleaved pairs" +
                                (smoke ? ", smoke gate: <= 5%"
                                       : ", gate: <= 5%")});
@@ -541,7 +550,7 @@ main(int argc, char **argv)
             // panels and input projections and the per-opcode
             // columns are each resident exactly once. The pre-v2
             // figure is the first engine alone with a copy of the
-            // panels and projections per shard.
+            // panels and projections per executor.
             const nn::WeightSnapshot &snapshot = engine.snapshot();
             const size_t pre_v2 =
                 size_t(engine.workers()) *
@@ -550,8 +559,8 @@ main(int argc, char **argv)
             TextTable mem({"Resident weight bytes", "Value"});
             mem.addRow({"frozen f64 weights (in place)",
                         std::to_string(snapshot.f64Bytes())});
-            mem.addRow({"derived, pre-v2 layout (per-shard copies, "
-                        "1 engine)",
+            mem.addRow({"derived, pre-v2 layout (per-executor "
+                        "copies, 1 engine)",
                         std::to_string(pre_v2)});
             mem.addRow({"derived, v2 (1 shared snapshot, all "
                         "engines)",
@@ -626,14 +635,13 @@ main(int argc, char **argv)
                 artifact, workload, threads, naive);
             TextTable table3({"Submission", "Throughput", "Notes"});
             table3.addRow(
-                {"single caller (sync, 1 thread)",
+                {"1 client (submit + get)",
                  fmtDouble(double(requests) / clients.singleSeconds,
                            0) +
                      " blk/s",
                  "median pass"});
             table3.addRow(
-                {"async clients (" + std::to_string(threads) +
-                     " threads)",
+                {std::to_string(threads) + " clients (submit + get)",
                  fmtDouble(double(requests) / clients.asyncSeconds,
                            0) +
                      " blk/s",

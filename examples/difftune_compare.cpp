@@ -161,7 +161,7 @@ cmdCompare(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--tolerance") {
             fatal_if(i + 1 >= argc, "--tolerance needs a number");
-            config.tolerance = std::stod(argv[++i]);
+            config.tolerance = parseDouble("--tolerance", argv[++i], 0.0);
         } else if (arg == "--json") {
             json = true;
         } else {
@@ -186,7 +186,7 @@ cmdCheck(int argc, char **argv)
             continue;
         if (arg == "--tolerance") {
             fatal_if(i + 1 >= argc, "--tolerance needs a number");
-            config.tolerance = std::stod(argv[++i]);
+            config.tolerance = parseDouble("--tolerance", argv[++i], 0.0);
         } else if (arg == "--json") {
             json = true;
         } else {
@@ -268,7 +268,7 @@ cmdPerturb(int argc, char **argv)
             col = int(parseLong("--col", argv[++i], 0, INT_MAX));
         } else if (arg == "--delta") {
             fatal_if(i + 1 >= argc, "--delta needs a number");
-            delta = std::stod(argv[++i]);
+            delta = parseDouble("--delta", argv[++i]);
         } else {
             fatal("perturb: unknown argument '{}'", arg);
         }

@@ -61,17 +61,17 @@ cmdGen(int argc, char **argv)
         fatal_if(i + 1 >= argc, "gen: {} needs a value", arg);
         const std::string value = argv[++i];
         if (arg == "--seed")
-            config.seed = std::stoull(value);
+            config.seed = parseU64("--seed", value);
         else if (arg == "--corpus")
             config.corpusTarget = uint64_t(parseLong("--corpus", value, 1));
         else if (arg == "--corpus-seed")
-            config.corpusSeed = std::stoull(value);
+            config.corpusSeed = parseU64("--corpus-seed", value);
         else if (arg == "--requests")
             config.requests = uint64_t(parseLong("--requests", value, 1));
         else if (arg == "--zipf")
-            config.zipfSkew = std::stod(value);
+            config.zipfSkew = parseDouble("--zipf", value, 0.0);
         else if (arg == "--respell")
-            config.respellProb = std::stod(value);
+            config.respellProb = parseDouble("--respell", value, 0.0, 1.0);
         else if (arg == "--models")
             config.models = uint32_t(
                 parseLong("--models", value, 1, lab::kMaxModels));

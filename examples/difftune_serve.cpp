@@ -25,7 +25,7 @@
  *       throughput, cache-counter and shared-snapshot stats on a
  *       skewed synthetic workload; --threads N adds the
  *       multi-threaded async client mode (N concurrent submitters
- *       vs one synchronous caller, with latency percentiles). Ends
+ *       vs one, with latency percentiles). Ends
  *       with the full /statsz telemetry dump — per-stage latency
  *       histograms and the mirrored ServeStats counters (--json
  *       renders the dump as JSON; DIFFTUNE_OBS_OFF leaves it
@@ -330,13 +330,13 @@ cmdBench(int argc, char **argv)
 
     if (threads > 0) {
         // Client mode: N concurrent threads submitting through the
-        // micro-batcher vs one synchronous caller (bit-checked
-        // against the naive pass). --threads 1 is allowed and
-        // measures the micro-batcher's single-client overhead.
+        // dispatchers vs one thread on the same path (bit-checked
+        // against the naive pass). --threads 1 is allowed: both
+        // passes then run one client.
         const auto clients = serve::compareAsyncClients(
             artifact, workload, threads, naive);
         std::cout
-            << "single caller: "
+            << "1 client:      "
             << fmtDouble(double(requests) / clients.singleSeconds, 0)
             << " blocks/s\n"
             << "async x" << threads << ":      "

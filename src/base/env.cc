@@ -6,6 +6,7 @@
 #include "base/env.hh"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 
@@ -55,6 +56,42 @@ parseLong(const char *what, const std::string &text, long min_value,
               text);
     fatal("{} must be an integer in [{}, {}], got '{}'", what, min_value,
           max_value, text);
+}
+
+uint64_t
+parseU64(const char *what, const std::string &text)
+{
+    uint64_t parsed = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+    if (error == std::errc() && stop == end)
+        return parsed;
+    fatal("{} must be an integer in [0, {}], got '{}'", what,
+          std::numeric_limits<uint64_t>::max(), text);
+}
+
+double
+parseDouble(const char *what, const std::string &text, double min_value,
+            double max_value)
+{
+    double parsed = 0.0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+    if (error == std::errc() && stop == end && std::isfinite(parsed) &&
+        parsed >= min_value && parsed <= max_value)
+        return parsed;
+    const bool low = std::isfinite(min_value);
+    const bool high = std::isfinite(max_value);
+    if (low && high)
+        fatal("{} must be a number in [{}, {}], got '{}'", what,
+              min_value, max_value, text);
+    if (low)
+        fatal("{} must be a number >= {}, got '{}'", what, min_value,
+              text);
+    if (high)
+        fatal("{} must be a number <= {}, got '{}'", what, max_value,
+              text);
+    fatal("{} must be a finite number, got '{}'", what, text);
 }
 
 std::string

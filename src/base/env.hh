@@ -10,6 +10,7 @@
 #ifndef DIFFTUNE_BASE_ENV_HH
 #define DIFFTUNE_BASE_ENV_HH
 
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -30,6 +31,25 @@ long envLong(const char *name, long default_value);
  */
 long parseLong(const char *what, const std::string &text, long min_value,
                long max_value = std::numeric_limits<long>::max());
+
+/**
+ * Parse a command-line unsigned 64-bit integer (a seed): @p text must
+ * be base-10 digits and nothing else — no sign — within the full
+ * uint64 range. Anything else is fatal, with parseLong's message
+ * shape.
+ */
+uint64_t parseU64(const char *what, const std::string &text);
+
+/**
+ * Parse a command-line real number: the whole of @p text must be a
+ * finite decimal number (no 'nan' or 'inf', no leading '+' or
+ * whitespace) in [@p min_value, @p max_value]. Anything else is
+ * fatal, with a message naming @p what and the allowed range.
+ */
+double parseDouble(
+    const char *what, const std::string &text,
+    double min_value = -std::numeric_limits<double>::infinity(),
+    double max_value = std::numeric_limits<double>::infinity());
 
 /** Cap on a command-line worker or thread count: each is an OS thread. */
 inline constexpr long maxThreadsArg = 1024;

@@ -2,25 +2,25 @@
  * @file
  * AsyncEngine implementation.
  *
- * Locking order (always take in this order, never hold both unless
- * noted): queueMutex_ guards only the request queues and the stop
- * flag; batchMutex_ guards the synchronous executor set and is held
- * across a whole serveBatch; the cache stripes and the instruction
- * memo's mutex are leaf locks taken under either or neither. A
- * dispatcher serves with no queue lock held, so clients keep
- * submitting while a batch runs.
+ * Locking order: queueMutex_ guards only the request queues and the
+ * stop flag, and is held for intake and pops, never across a batch.
+ * The cache stripes and the instruction memo's mutex are leaf locks,
+ * never taken under queueMutex_: submit probes the front cache
+ * before it queues, and a dispatcher serves with no queue lock held,
+ * so clients keep submitting while a batch runs. shutdownMutex_
+ * only serializes joiners and is never held with queueMutex_.
  */
 
 #include "serve/async_engine.hh"
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "base/env.hh"
-#include "base/parallel.hh"
 #include "core/raw_table.hh"
 #include "isa/parse.hh"
 #include "obs/stage_timer.hh"
@@ -63,7 +63,6 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
     fatal_if(!artifact_.model || !artifact_.weights,
              "AsyncEngine needs a promoted ModelSnapshot "
              "(io::makeModelSnapshot)");
-    fatal_if(config_.maxBatch == 0, "maxBatch must be >= 1");
 
     const int param_dim = artifact_.model->config().paramDim;
     if (param_dim > 0) {
@@ -105,17 +104,11 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
         }
     }
     snapshot_ = artifact_.weights;
-
-    // One executor per shard, all borrowing the one snapshot: the
-    // panel packing and every input projection happen once per
-    // engine (or once per *artifact*, when engines share), not once
-    // per shard. The dispatchers start lazily on the first submit.
-    shards_.reserve(size_t(workers_));
-    for (int shard = 0; shard < workers_; ++shard) {
-        shards_.emplace_back();
-        shards_.back().batched =
-            std::make_unique<nn::BatchedForward>(snapshot_);
-    }
+    // Pack the f64 panels here, in setup: the dispatchers and their
+    // executors start lazily on the first request past the front
+    // cache, and only borrow them. Packing happens once per engine
+    // (or once per *artifact*, when engines share).
+    snapshot_->ensurePanels();
 
     registerMetrics();
 }
@@ -303,6 +296,7 @@ AsyncEngine::submitAll(std::vector<std::string> block_texts)
     std::vector<std::future<double>> futures;
     futures.reserve(block_texts.size());
     std::vector<Pending> fresh;
+    std::vector<size_t> homes; // each fresh member's dispatcher
     // One timestamp for the whole group: the members enqueue
     // together, and one clock read keeps the intake loop cheap.
     const uint64_t enqueued = stage_.on() ? obs::nowNs() : 0;
@@ -313,12 +307,13 @@ AsyncEngine::submitAll(std::vector<std::string> block_texts)
             promise.set_value(*hit);
             continue;
         }
+        homes.push_back(
+            size_t(finalizeHash(std::hash<std::string>{}(text)) %
+                   uint64_t(workers_)));
         fresh.push_back(
             Pending{std::move(text), std::move(promise), enqueued});
     }
     if (!fresh.empty()) {
-        const uint64_t stripe = intakeStripe_.fetch_add(
-            fresh.size(), std::memory_order_relaxed);
         {
             std::lock_guard lock(queueMutex_);
             if (stopping_) {
@@ -326,15 +321,15 @@ AsyncEngine::submitAll(std::vector<std::string> block_texts)
                 throw EngineStoppedError();
             }
             ensureDispatchersLocked();
-            // Group members stripe round-robin like singles, so a
-            // large group spreads over the dispatchers and its
-            // micro-batches overlap (bit-stability is indifferent to
-            // the split; ordering within a future group is
-            // irrelevant because every member carries its own
-            // future).
+            // Members go to the dispatcher their raw text hashes
+            // to, so a large group still spreads over the
+            // dispatchers and its micro-batches overlap, while every
+            // copy of one text shares a queue and meets its twins
+            // in the batch's dedup (round-robin would split a
+            // group's repeats across dispatchers, each forwarding
+            // them). Bit-stability is indifferent to the split.
             for (size_t i = 0; i < fresh.size(); ++i)
-                pool_[size_t((stripe + i) % pool_.size())]
-                    ->queue.push_back(std::move(fresh[i]));
+                pool_[homes[i]]->queue.push_back(std::move(fresh[i]));
             totalQueued_ += fresh.size();
             if (stage_.on())
                 stage_.queueDepth->set(int64_t(totalQueued_));
@@ -346,82 +341,35 @@ AsyncEngine::submitAll(std::vector<std::string> block_texts)
 
 // ----------------------------------------------------------- sync calls
 
-bool
-AsyncEngine::sampleTick()
-{
-    return stage_.on() &&
-           stageSampleTick_.fetch_add(1, std::memory_order_relaxed) %
-                   kStageSamplePeriod ==
-               0;
-}
-
 double
 AsyncEngine::predict(const std::string &block_text)
 {
-    const bool sampled = sampleTick();
-    obs::StageTimer span(sampled ? stage_.request : nullptr);
-    if (std::optional<double> hit = frontProbe(block_text))
-        return *hit;
-    const std::vector<const std::string *> one{&block_text};
-    std::vector<Outcome> outcomes = serveBatch(one, sampled);
-    if (outcomes[0].error)
-        std::rethrow_exception(outcomes[0].error);
-    return outcomes[0].value;
+    return submit(block_text).get();
 }
 
 std::vector<double>
 AsyncEngine::predictAll(const std::vector<std::string> &block_texts)
 {
-    // Every request in the group completes when this call returns,
-    // so the call span is each one's end-to-end latency: one pair of
-    // clock reads, recorded once per request.
-    const uint64_t begin = stage_.on() ? obs::nowNs() : 0;
-    std::vector<double> results(block_texts.size(), 0.0);
-    std::vector<uint32_t> unresolved;
-    std::vector<const std::string *> todo;
-    for (size_t i = 0; i < block_texts.size(); ++i) {
-        if (std::optional<double> hit = frontProbe(block_texts[i]))
-            results[i] = *hit;
-        else {
-            unresolved.push_back(uint32_t(i));
-            todo.push_back(&block_texts[i]);
-        }
-    }
-    if (!todo.empty()) {
-        std::vector<Outcome> outcomes = serveBatch(todo, sampleTick());
-        for (size_t j = 0; j < outcomes.size(); ++j) {
-            if (outcomes[j].error)
-                std::rethrow_exception(outcomes[j].error);
-            results[unresolved[j]] = outcomes[j].value;
-        }
-    }
-    if (stage_.on() && !block_texts.empty()) {
-        const uint64_t elapsed = obs::elapsedNs(begin, obs::nowNs());
-        for (size_t i = 0; i < block_texts.size(); ++i)
-            stage_.request->record(elapsed);
-    }
+    std::vector<std::future<double>> futures = submitAll(block_texts);
+    std::vector<double> results;
+    results.reserve(futures.size());
+    // In input order, so a failing member rethrows the first error.
+    for (std::future<double> &future : futures)
+        results.push_back(future.get());
     return results;
 }
 
 // ----------------------------------------------------------- batch core
 
 std::vector<AsyncEngine::Outcome>
-AsyncEngine::serveBatch(const std::vector<const std::string *> &texts,
+AsyncEngine::serveBatch(nn::BatchedForward &executor,
+                        const std::vector<const std::string *> &texts,
                         bool sample_laps)
-{
-    std::lock_guard lock(batchMutex_);
-    return serveBatchOn(shards_, texts, sample_laps);
-}
-
-std::vector<AsyncEngine::Outcome>
-AsyncEngine::serveBatchOn(
-    std::span<Shard> shards,
-    const std::vector<const std::string *> &texts, bool sample_laps)
 {
     ++stats_.batches;
     // Chained laps: each stage boundary is one clock read shared
     // with the next stage (N stages cost N+1 reads, not 2N), and
-    // only sampled calls (see kStageSamplePeriod) record laps.
+    // only sampled batches (see kStageSamplePeriod) record laps.
     obs::StageClock clk(sample_laps);
     std::vector<Outcome> outcomes(texts.size());
     std::vector<Miss> misses;
@@ -504,23 +452,13 @@ AsyncEngine::serveBatchOn(
 
     stats_.forwards += misses.size();
 
-    // Each executor runs its misses as one lane batch (shared
-    // weight reads, lockstep steps, instruction dedup). Each lane's
-    // arithmetic is independent, so results do not depend on the
-    // worker count or the batch composition. A dispatcher's one
-    // executor runs inline on its own thread: queued traffic never
-    // waits on the fork-join pool, whose run mutex serializes
-    // callers. Only the synchronous set fans out over shards.
+    // The dispatcher's executor runs the misses inline, as one
+    // lane batch (shared weight reads, lockstep steps, instruction
+    // dedup). Each lane's arithmetic is independent, so results do
+    // not depend on the worker count or the batch composition.
     if (!misses.empty()) {
         obs::StageTimer forward_span(stage_.forward);
-        if (shards.size() == 1)
-            forwardMissBatch(shards[0], misses, 0, misses.size());
-        else
-            parallelShards(misses.size(), int(shards.size()),
-                           [&](size_t lo, size_t hi, int shard) {
-                               forwardMissBatch(shards[size_t(shard)],
-                                                misses, lo, hi);
-                           });
+        forwardMissBatch(executor, misses);
     }
 
     // Publish in deterministic (batch) order.
@@ -542,20 +480,17 @@ AsyncEngine::serveBatchOn(
 }
 
 void
-AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
-                              size_t lo, size_t hi)
+AsyncEngine::forwardMissBatch(nn::BatchedForward &executor,
+                              std::vector<Miss> &misses)
 {
-    nn::BatchedForward &bf = *sh.batched;
     const std::vector<nn::Tensor> &columns = snapshot_->inputColumns();
-    const size_t count = hi - lo;
     std::vector<surrogate::EncodedBlock> encoded;
     std::vector<const surrogate::EncodedBlock *> blocks;
     std::vector<std::vector<const nn::Tensor *>> inst_params;
-    encoded.reserve(count);
-    blocks.reserve(count);
-    for (size_t m = lo; m < hi; ++m) {
-        const Miss &miss = misses[m];
-        // Per-miss token-lane span; executors record concurrently
+    encoded.reserve(misses.size());
+    blocks.reserve(misses.size());
+    for (const Miss &miss : misses) {
+        // Per-miss token-lane span; dispatchers record concurrently
         // (record() is wait-free).
         obs::StageTimer encode_span(stage_.encode);
         if (miss.id != isa::invalidBlockId) {
@@ -577,27 +512,26 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
     for (const surrogate::EncodedBlock &lanes : encoded)
         blocks.push_back(&lanes);
     if (!columns.empty()) {
-        inst_params.reserve(count);
-        for (size_t m = lo; m < hi; ++m) {
+        inst_params.reserve(misses.size());
+        for (const Miss &miss : misses) {
             inst_params.emplace_back();
-            inst_params.back().reserve(misses[m].block.size());
-            for (const auto &inst : misses[m].block.insts)
+            inst_params.back().reserve(miss.block.size());
+            for (const auto &inst : miss.block.insts)
                 inst_params.back().push_back(
                     &columns[size_t(inst.opcode)]);
         }
     }
     std::vector<double> heads;
     const surrogate::TokenLevelCounts counts =
-        artifact_.model->predictBatch(bf, blocks, inst_params, heads,
-                                      &instCache_);
+        artifact_.model->predictBatch(executor, blocks, inst_params,
+                                      heads, &instCache_);
     stats_.instHits += counts.instHits;
     stats_.tokenLanes += counts.tokenLanes;
     // Same expression as Graph::exp (the sequential path's final
     // node), so the batched prediction is bit-identical to
     // forwardEncoded's.
-    for (size_t m = lo; m < hi; ++m)
-        misses[m].prediction =
-            std::exp(std::min(heads[m - lo], 30.0));
+    for (size_t m = 0; m < misses.size(); ++m)
+        misses[m].prediction = std::exp(std::min(heads[m], 30.0));
 }
 
 double
@@ -645,22 +579,31 @@ AsyncEngine::ensureDispatchersLocked()
     // caller releases it, then find the request that triggered the
     // start.
     pool_.reserve(size_t(workers_));
-    for (int w = 0; w < workers_; ++w) {
-        pool_.push_back(std::make_unique<DispatchWorker>());
-        pool_.back()->shard.batched =
-            std::make_unique<nn::BatchedForward>(snapshot_);
-    }
+    for (int w = 0; w < workers_; ++w)
+        pool_.push_back(std::make_unique<DispatchWorker>(snapshot_));
     for (size_t w = 0; w < pool_.size(); ++w)
         pool_[w]->thread =
             std::thread(&AsyncEngine::dispatchLoop, this, w);
 }
 
+bool
+AsyncEngine::sampleTick()
+{
+    return stage_.on() &&
+           stageSampleTick_.fetch_add(1, std::memory_order_relaxed) %
+                   kStageSamplePeriod ==
+               0;
+}
+
 void
 AsyncEngine::dispatchLoop(size_t self)
 {
-    // Async end-to-end latency: submit-time stamp to future
-    // fulfillment, one clock read per micro-batch. (Front-cache hits
-    // resolve inside submit and never reach this histogram.)
+    // End-to-end latency of every request that reached a
+    // dispatcher, from any entry point: submit-time stamp to the
+    // batch's results, one clock read per micro-batch, recorded
+    // before the futures complete so a caller back from get() finds
+    // its request counted. (Front-cache hits resolve inside submit
+    // and never reach this histogram.)
     auto recordRequests = [this](const std::vector<Pending> &batch) {
         if (!stage_.on())
             return;
@@ -688,8 +631,7 @@ AsyncEngine::dispatchLoop(size_t self)
             // dispatcher up.
             batch.clear();
             std::deque<Pending> &own = me.queue;
-            const size_t own_take =
-                std::min(own.size(), config_.maxBatch);
+            const size_t own_take = std::min(own.size(), kMaxBatch);
             batch.reserve(own_take);
             for (size_t i = 0; i < own_take; ++i) {
                 batch.push_back(std::move(own.front()));
@@ -697,13 +639,11 @@ AsyncEngine::dispatchLoop(size_t self)
             }
             if (batch.empty()) {
                 for (size_t step = 1;
-                     step < pool_.size() &&
-                     batch.size() < config_.maxBatch;
+                     step < pool_.size() && batch.size() < kMaxBatch;
                      ++step) {
                     std::deque<Pending> &victim =
                         pool_[(self + step) % pool_.size()]->queue;
-                    while (!victim.empty() &&
-                           batch.size() < config_.maxBatch) {
+                    while (!victim.empty() && batch.size() < kMaxBatch) {
                         batch.push_back(std::move(victim.front()));
                         victim.pop_front();
                     }
@@ -725,34 +665,32 @@ AsyncEngine::dispatchLoop(size_t self)
         }
 
         // Serve with no queue lock held, inline on this dispatcher's
-        // own executor — no batchMutex_, no fork-join pool — so
-        // clients keep submitting and batches on other dispatchers
-        // run concurrently while this one executes.
+        // own executor — no fork-join pool — so clients keep
+        // submitting and batches on other dispatchers run
+        // concurrently while this one executes.
         std::vector<const std::string *> texts;
         texts.reserve(batch.size());
         for (const Pending &pending : batch)
             texts.push_back(&pending.text);
         std::vector<Outcome> outcomes;
+        std::exception_ptr failure;
         try {
-            outcomes = serveBatchOn(std::span(&me.shard, 1), texts,
-                                    sampleTick());
+            outcomes = serveBatch(me.executor, texts, sampleTick());
         } catch (...) {
-            // serveBatchOn captures per-request errors; anything
+            // serveBatch captures per-request errors; anything
             // that still escapes (allocation failure) fails the
             // whole micro-batch rather than abandoning the futures.
-            for (Pending &pending : batch)
-                pending.promise.set_exception(
-                    std::current_exception());
-            recordRequests(batch);
-            continue;
+            failure = std::current_exception();
         }
+        recordRequests(batch);
         for (size_t i = 0; i < batch.size(); ++i) {
-            if (outcomes[i].error)
+            if (failure)
+                batch[i].promise.set_exception(failure);
+            else if (outcomes[i].error)
                 batch[i].promise.set_exception(outcomes[i].error);
             else
                 batch[i].promise.set_value(outcomes[i].value);
         }
-        recordRequests(batch);
     }
 }
 

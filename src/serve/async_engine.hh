@@ -8,11 +8,20 @@
  * submit / submitAll futures, and the daemon's registry all serve
  * through it (see docs/SERVING.md for the full contract):
  *
- *  - **Shared frozen weights.** All W shard executors borrow one
- *    nn::WeightSnapshot (weights, packed panels, input-projection
+ *  - **One scheduler.** Every request that misses the raw-text
+ *    front cache is served by a dispatcher: AsyncConfig::workers
+ *    threads, each with its own intake queue and exactly one
+ *    executor, each running the micro-batch it pops (up to
+ *    kMaxBatch requests) inline on its own thread. predict is
+ *    submit(text).get() and predictAll is submitAll plus an
+ *    in-order wait, so the synchronous calls take the queued path
+ *    too and serving never touches the fork-join WorkerPool.
+ *
+ *  - **Shared frozen weights.** Every dispatcher's executor borrows
+ *    one nn::WeightSnapshot (weights, packed panels, input-projection
  *    tables, per-opcode parameter-input columns) instead of holding
- *    per-shard copies, so per-engine weight allocations do not
- *    scale with the worker count — and engines built from the same
+ *    a private copy, so per-engine weight allocations do not scale
+ *    with the worker count — and engines built from the same
  *    io::ModelSnapshot share too.
  *
  *  - **Thread safety.** Any number of client threads may call any
@@ -20,28 +29,26 @@
  *    concurrently. Caches are sharded-mutex LRUs and stats are
  *    atomic. Every executor shares the engine's one instruction
  *    memo (surrogate::InstHiddenCache), which takes its own mutex
- *    twice per batch. The synchronous calls share one executor set
- *    behind a batch mutex and parallelize over its shards.
+ *    twice per batch.
  *
- *  - **Async micro-batched submission.** submit(text) returns a
- *    std::future immediately. AsyncConfig::workers dispatchers
- *    serve the queued requests; each has its own intake queue
- *    (striped round-robin assignment, idle-steal) and exactly one
- *    executor, and runs the micro-batch it pops (up to maxBatch
- *    requests) inline on its own thread. An idle dispatcher serves
- *    a request as soon as it lands; batches form from the backlog
+ *  - **Micro-batching without a coalescing delay.** submit places
+ *    requests round-robin over the dispatchers' queues; submitAll
+ *    places each member on the dispatcher its raw text hashes to,
+ *    so a group's repeats meet in one queue. An idle dispatcher
+ *    serves a request as soon as it lands (stealing from a sibling
+ *    when its own queue is empty); batches form from the backlog
  *    that builds while every dispatcher is busy. Concurrent
  *    single-block clients thus get batched execution under load
- *    without client-side batching or a coalescing delay, and
- *    batches on different dispatchers overlap on multi-core boxes.
+ *    without client-side batching, and batches on different
+ *    dispatchers overlap on multi-core boxes.
  *
- * The front end behind predict is a two-level cache key hierarchy
- * (docs/FRONTEND.md): raw text -> interned canonical BlockId. A
- * miss in the raw-text front cache parses once, resolves to a dense
- * BlockId in the engine's append-only isa::Interner, and probes the
- * prediction cache by that id — no canonical-text string is built on
- * the hot path. A forward pass reads its token lanes from the
- * interner's per-instruction token storage.
+ * The front end behind every request is a two-level cache key
+ * hierarchy (docs/FRONTEND.md): raw text -> interned canonical
+ * BlockId. A miss in the raw-text front cache parses once, resolves
+ * to a dense BlockId in the engine's append-only isa::Interner, and
+ * probes the prediction cache by that id — no canonical-text string
+ * is built on the hot path. A forward pass reads its token lanes
+ * from the interner's per-instruction token storage.
  *
  * # Determinism contract
  *
@@ -55,12 +62,12 @@
  *
  * shutdown() (also run by the destructor) stops intake, drains
  * every intake queue — every already-submitted future still
- * completes — and joins the dispatcher pool. submit after shutdown
- * throws
+ * completes — and joins the dispatcher pool. submit, submitAll,
+ * predict and predictAll after shutdown throw
  * EngineStoppedError — a catchable rejection, not a process fatal:
  * a serving daemon must survive a client racing a drain (the
  * difftuned connection handler turns it into a "draining" wire
- * status and keeps running).
+ * status and keeps running). predictUncached keeps working.
  */
 
 #ifndef DIFFTUNE_SERVE_ASYNC_ENGINE_HH
@@ -72,7 +79,6 @@
 #include <future>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -80,6 +86,7 @@
 
 #include "io/snapshot.hh"
 #include "isa/intern.hh"
+#include "nn/batched.hh"
 #include "obs/metrics.hh"
 #include "serve/sharded_cache.hh"
 
@@ -90,14 +97,12 @@ namespace difftune::serve
 struct AsyncConfig
 {
     /**
-     * Executor count (<= 0: library default): the number of
-     * dispatchers serving queued requests, one executor each, and
-     * the shard count of the synchronous calls' executor set.
+     * Dispatcher count (<= 0: library default): the threads, one
+     * executor each, that serve every request past the front
+     * cache, whether it came from submit or from predict.
      */
     int workers = 0;
     size_t cacheCapacity = 8192; ///< LRU entries, each cache (>= 1)
-    /** Micro-batcher: max queued requests in one dispatcher batch. */
-    size_t maxBatch = 64;
     /** Lock stripes per LRU cache (<= 0: library default). */
     int cacheStripes = 0;
     /**
@@ -177,7 +182,8 @@ struct ServeStats
 };
 
 /**
- * Thrown by submit/submitAll once shutdown() has closed intake.
+ * Thrown by submit/submitAll (and so by predict/predictAll) once
+ * shutdown() has closed intake.
  * Deliberately an ordinary catchable exception (derived from
  * std::runtime_error, so pre-existing catch sites keep working)
  * rather than fatal(): a client racing a graceful drain is an
@@ -236,19 +242,27 @@ class AsyncEngine
 
     /**
      * Queue a group; futures align with @p block_texts. The whole
-     * group is enqueued atomically, striped over the dispatchers,
-     * so a group behaves like predictAll submitted from another
-     * thread.
+     * group is enqueued atomically, each member on the dispatcher
+     * its raw text hashes to: every copy of a text lands in one
+     * queue, so a group of at most kMaxBatch members that finds the
+     * queues empty forwards each distinct text once.
      */
     std::vector<std::future<double>>
     submitAll(std::vector<std::string> block_texts);
 
-    // ---- Synchronous API (inline, any thread)
+    // ---- Synchronous API (blocking, any thread)
 
-    /** Predict one block given in canonical assembly syntax. */
+    /**
+     * Predict one block given in canonical assembly syntax:
+     * submit(@p block_text).get().
+     */
     double predict(const std::string &block_text);
 
-    /** Predict a batch; results align with @p block_texts. */
+    /**
+     * Predict a batch; results align with @p block_texts. submitAll
+     * plus an in-order wait: a failing member rethrows its error,
+     * the first in input order winning.
+     */
     std::vector<double>
     predictAll(const std::vector<std::string> &block_texts);
 
@@ -272,6 +286,9 @@ class AsyncEngine
 
     // ---- Introspection
 
+    /** Most queued requests one dispatcher serves as one batch. */
+    static constexpr size_t kMaxBatch = 64;
+
     const ServeStats &stats() const { return stats_; }
     const surrogate::Model &model() const { return *artifact_.model; }
     /** Learned parameter table (shared with the artifact; may be
@@ -281,7 +298,7 @@ class AsyncEngine
     {
         return artifact_.table;
     }
-    /** The frozen snapshot every shard of this engine borrows. */
+    /** The frozen snapshot every executor of this engine borrows. */
     const nn::WeightSnapshot &snapshot() const { return *snapshot_; }
     std::shared_ptr<const nn::WeightSnapshot>
     snapshotPtr() const
@@ -302,8 +319,8 @@ class AsyncEngine
     /**
      * Bytes of weight-derived state this engine shares through its
      * snapshot: the packed panels and projection tables (one copy
-     * per *shard* before v2) plus the per-opcode input columns (one
-     * copy per *engine* before v2). Constant in workers() by
+     * per *executor* before v2) plus the per-opcode input columns
+     * (one copy per *engine* before v2). Constant in workers() by
      * construction, and shared further across engines built from
      * one io::ModelSnapshot.
      */
@@ -348,43 +365,25 @@ class AsyncEngine
      */
     std::optional<double> frontProbe(const std::string &text);
 
-    /** One executor: a shard's private lane scratch. */
-    struct Shard
-    {
-        std::unique_ptr<nn::BatchedForward> batched;
-    };
-
     /**
-     * Serve @p texts (which already missed the front cache) on the
-     * synchronous executor set: takes batchMutex_, then delegates
-     * to serveBatchOn. Outcomes align with @p texts; per-request
-     * errors land in Outcome::error. @p sample_laps (from
-     * sampleTick()) turns the per-block stage laps on for this call.
+     * The batch core, run by a dispatcher on its own executor:
+     * dedup, parse, canonical-cache probe, one lane-batch forward of
+     * the misses on @p executor, cache publish. Outcomes align with
+     * @p texts; per-request errors land in Outcome::error. The
+     * caller owns @p executor. @p sample_laps (from sampleTick())
+     * turns the per-block stage laps on for this batch.
      */
     std::vector<Outcome>
-    serveBatch(const std::vector<const std::string *> &texts,
+    serveBatch(nn::BatchedForward &executor,
+               const std::vector<const std::string *> &texts,
                bool sample_laps);
 
     /**
-     * The batch core: dedup, parse, canonical-cache probe, forward
-     * of the misses on @p shards, cache publish. The caller must own
-     * @p shards exclusively. The sync path holds batchMutex_ over
-     * shards_ and fans the misses out with parallelShards; a
-     * dispatcher passes its one executor, which runs them inline on
-     * its own thread, so batches on different dispatchers overlap
-     * and none waits on the fork-join pool.
+     * Run @p misses through @p executor as one lane batch and fill
+     * their predictions. The caller owns @p executor.
      */
-    std::vector<Outcome>
-    serveBatchOn(std::span<Shard> shards,
-                 const std::vector<const std::string *> &texts,
-                 bool sample_laps);
-
-    /**
-     * Run misses [lo, hi) through @p sh's executor as one lane
-     * batch and fill their predictions. The caller owns @p sh.
-     */
-    void forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
-                          size_t lo, size_t hi);
+    void forwardMissBatch(nn::BatchedForward &executor,
+                          std::vector<Miss> &misses);
 
     /** Forward one encoded block on @p graph; returns exp(head). */
     double forwardEncoded(nn::Graph &graph,
@@ -401,16 +400,6 @@ class AsyncEngine
     std::shared_ptr<const nn::WeightSnapshot> snapshot_;
     int workers_;
     AsyncConfig config_;
-
-    /** Synchronous-path executors (guarded by batchMutex_). */
-    std::vector<Shard> shards_;
-
-    /**
-     * Serializes batch execution on shards_ (an executor is
-     * single-batch state). Cache probes and the queue do not take
-     * this lock.
-     */
-    std::mutex batchMutex_;
 
     /**
      * Interned canonical tables: every parsed block resolves to a
@@ -453,16 +442,17 @@ class AsyncEngine
     };
 
     /**
-     * Head-based trace sampling for the synchronous hot path: 1 in
-     * this many sync predicts / serveBatch calls records its spans
-     * (request_ns plus the per-block stage laps) — the decision is
-     * made once up front, so a sampled call yields one coherent
-     * trace. A clock read costs ~30 ns on shared runners and the
-     * warm hit path is only a few us, so always-on spans would
-     * blow bench_serve's 5% overhead gate; sampling keeps the
-     * percentiles representative at ~1/8 the cost. Async-submitted
-     * requests are exempt: the dispatcher records every one, since
-     * its clock reads amortize across the popped batch.
+     * Head-based trace sampling of the per-block stage laps: 1 in
+     * this many dispatcher batches records its parse / intern /
+     * pred-cache laps. The decision is made once per batch, so a
+     * sampled batch yields one coherent trace. A clock read costs
+     * ~30 ns on shared runners and a respelled-warm block needs
+     * only a few us of parsing and probing, so laps on every block
+     * would blow bench_serve's 5% overhead gate. The per-request
+     * and per-batch spans (request_ns, queue wait, batch size,
+     * encode, forward) are not sampled: they record every request
+     * that reaches a dispatcher, and their clock reads amortize
+     * across the popped batch. Front-cache hits record nothing.
      */
     static constexpr uint64_t kStageSamplePeriod = 8;
 
@@ -480,13 +470,19 @@ class AsyncEngine
     /**
      * One dispatcher: an intake queue (guarded by queueMutex_ like
      * all queue state) plus the one executor its thread serves
-     * batches on, without touching batchMutex_. unique_ptr entries
-     * so dispatcher addresses are stable.
+     * batches on. unique_ptr entries so dispatcher addresses are
+     * stable.
      */
     struct DispatchWorker
     {
+        explicit DispatchWorker(
+            std::shared_ptr<const nn::WeightSnapshot> snapshot)
+            : executor(std::move(snapshot))
+        {
+        }
+
         std::deque<Pending> queue;
-        Shard shard;
+        nn::BatchedForward executor;
         std::thread thread;
     };
 
@@ -501,7 +497,8 @@ class AsyncEngine
     std::mutex queueMutex_;
     std::condition_variable queueCv_;
     std::vector<std::unique_ptr<DispatchWorker>> pool_;
-    /** Round-robin intake stripe counter (submit picks a queue). */
+    /** Round-robin intake stripe counter (submit picks a queue;
+     *  submitAll places by text hash instead). */
     std::atomic<uint64_t> intakeStripe_{0};
     /** Sum of all per-dispatcher queue sizes (guarded by
      *  queueMutex_); what the queue_depth gauge mirrors — one
@@ -511,9 +508,10 @@ class AsyncEngine
     /** Fast intake-closed check (set before stopping_ is taken). */
     std::atomic<bool> stopped_{false};
     /**
-     * Dispatchers start lazily on the first queued request (guarded
-     * by queueMutex_), so engines used only through the synchronous
-     * API never own idle threads.
+     * Dispatchers start lazily on the first request past the front
+     * cache (guarded by queueMutex_), so an engine that only ever
+     * answers from its caches or through predictUncached owns no
+     * threads and no executors.
      */
     bool dispatchersStarted_ = false;
     /** Serializes shutdown(): exactly one caller joins. */

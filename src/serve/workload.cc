@@ -113,51 +113,39 @@ compareAsyncClients(const io::ModelSnapshot &artifact,
     AsyncClientComparison result;
     result.threads = threads;
 
-    // Single-caller pass: one thread, one block at a time through
-    // the synchronous path.
-    const auto single_pass = [&] {
-        AsyncEngine engine(artifact);
-        const auto begin = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < workload.size(); ++i)
-            checkAgainstReference(reference, i,
-                                  engine.predict(workload[i]));
-        return secondsBetween(begin, std::chrono::steady_clock::now());
-    };
-
-    // Concurrent clients: thread t owns requests t, t + threads,
-    // t + 2*threads, ... and blocks on each future before its next
-    // submit, so at most `threads` requests are in flight — the
-    // dispatchers' backlog is all that turns them into batches. All
-    // clients of every pass record into one wait-free histogram.
+    // One pass on a fresh engine (cold caches): client t owns
+    // requests t, t + clients, t + 2*clients, ... and blocks on each
+    // future before its next submit, so at most `clients` requests
+    // are in flight — the dispatchers' backlog is all that turns
+    // them into batches. A multi-client pass records every
+    // request's latency into one wait-free histogram.
     obs::LatencyHistogram latency_hist;
-    const auto async_pass = [&] {
+    const auto pass = [&](int clients, obs::LatencyHistogram *latency) {
         AsyncEngine engine(artifact);
         std::vector<double> served(workload.size(), 0.0);
         const auto begin = std::chrono::steady_clock::now();
-        std::vector<std::thread> clients;
-        clients.reserve(size_t(threads));
-        for (int t = 0; t < threads; ++t) {
-            clients.emplace_back([&, t] {
+        std::vector<std::thread> runners;
+        runners.reserve(size_t(clients));
+        for (int t = 0; t < clients; ++t) {
+            runners.emplace_back([&, t] {
                 for (size_t i = size_t(t); i < workload.size();
-                     i += size_t(threads)) {
+                     i += size_t(clients)) {
                     const auto t0 = std::chrono::steady_clock::now();
-                    std::future<double> future =
-                        engine.submit(workload[i]);
-                    served[i] = future.get();
-                    latency_hist.recordSeconds(secondsBetween(
-                        t0, std::chrono::steady_clock::now()));
+                    served[i] = engine.submit(workload[i]).get();
+                    if (latency)
+                        latency->recordSeconds(secondsBetween(
+                            t0, std::chrono::steady_clock::now()));
                 }
             });
         }
-        for (std::thread &client : clients)
-            client.join();
+        for (std::thread &runner : runners)
+            runner.join();
         const double seconds =
             secondsBetween(begin, std::chrono::steady_clock::now());
         for (size_t i = 0; i < workload.size(); ++i)
             checkAgainstReference(reference, i, served[i]);
         return seconds;
     };
-
     // Interleaved pairs, alternating which pass goes first, each on
     // fresh engines (cold caches): a slow spell on a shared host
     // hits both passes of a pair alike, and a burst inside one pass
@@ -171,11 +159,11 @@ compareAsyncClients(const io::ModelSnapshot &artifact,
         double single = 0.0;
         double async = 0.0;
         if (ratios.size() % 2 == 0) {
-            single = single_pass();
-            async = async_pass();
+            single = pass(1, nullptr);
+            async = pass(threads, &latency_hist);
         } else {
-            async = async_pass();
-            single = single_pass();
+            async = pass(threads, &latency_hist);
+            single = pass(1, nullptr);
         }
         singles.push_back(single);
         asyncs.push_back(async);

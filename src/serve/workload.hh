@@ -92,35 +92,36 @@ struct LatencyStats
 LatencyStats latencyFromHistogram(const obs::LatencyHistogram &hist);
 
 /**
- * Results of compareAsyncClients: interleaved pairs of a
- * single-caller synchronous pass and a @p threads-client async pass
- * over the same workload, each pass on a fresh engine (cold
+ * Results of compareAsyncClients: interleaved pairs of a one-client
+ * pass and a @p threads-client pass over the same workload, both
+ * through AsyncEngine::submit, each pass on a fresh engine (cold
  * caches).
  */
 struct AsyncClientComparison
 {
-    double singleSeconds = 0.0; ///< median single-caller pass
-    double asyncSeconds = 0.0;  ///< median async pass
+    double singleSeconds = 0.0; ///< median one-client pass
+    double asyncSeconds = 0.0;  ///< median multi-client pass
     int threads = 0;
     int pairs = 0; ///< pass pairs run
-    /** Aggregate multi-client speedup over single-caller: the
+    /** Aggregate multi-client speedup over one client: the
      *  median of the per-pair time ratios. */
     double speedup = 0.0;
-    LatencyStats latency; ///< async submit-to-get, every async pass
+    /** submit-to-get, every multi-client pass. */
+    LatencyStats latency;
 };
 
 /**
  * Measure what the dispatchers buy concurrent traffic: one client
- * thread calling the synchronous path block-at-a-time versus
- * @p threads client threads each submitting its interleaved share
- * of @p workload through AsyncEngine::submit and blocking on the
- * future (at most @p threads requests in flight, as with real
- * users). Runs at least three interleaved pass pairs, and more until
- * the passes add up to two seconds. Each pass runs on a fresh engine
- * built from @p artifact — the engines share @p artifact's
- * WeightSnapshot, so the comparison also exercises cross-engine
- * weight sharing. Every prediction of every pass is checked
- * bit-exact against @p reference.
+ * thread versus @p threads client threads, each submitting its
+ * interleaved share of @p workload through AsyncEngine::submit and
+ * blocking on the future (at most one request in flight per client,
+ * as with real users). Both passes take the same path, so the ratio
+ * is what the extra clients buy. Runs at least three interleaved
+ * pass pairs, and more until the passes add up to two seconds. Each
+ * pass runs on a fresh engine built from @p artifact — the engines
+ * share @p artifact's WeightSnapshot, so the comparison also
+ * exercises cross-engine weight sharing. Every prediction of every
+ * pass is checked bit-exact against @p reference.
  */
 AsyncClientComparison
 compareAsyncClients(const io::ModelSnapshot &artifact,

@@ -260,6 +260,58 @@ TEST(Env, ParseLongAcceptsOnlyWholeNumbersInRange)
     EXPECT_NE(error("9223372036854775808", 0, unbounded), "accepted");
 }
 
+TEST(Env, ParseU64AcceptsOnlyDigitsInTheFullRange)
+{
+    EXPECT_EQ(parseU64("--seed", "0"), 0u);
+    EXPECT_EQ(parseU64("--seed", "42"), 42u);
+    EXPECT_EQ(parseU64("--seed", "18446744073709551615"),
+              std::numeric_limits<uint64_t>::max());
+
+    auto error = [](const std::string &text) {
+        try {
+            parseU64("--seed", text);
+        } catch (const std::runtime_error &caught) {
+            return std::string(caught.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(error("-1"), "fatal: --seed must be an integer in "
+                           "[0, 18446744073709551615], got '-1'");
+    EXPECT_EQ(error("abc"), "fatal: --seed must be an integer in "
+                            "[0, 18446744073709551615], got 'abc'");
+    for (const char *bad : {"", "+1", "-0", " 1", "1 ", "12abc", "1e3",
+                            "0x10", "18446744073709551616"})
+        EXPECT_NE(error(bad), "accepted") << bad;
+}
+
+TEST(Env, ParseDoubleAcceptsOnlyWholeFiniteNumbersInRange)
+{
+    EXPECT_EQ(parseDouble("--zipf", "1.1", 0.0), 1.1);
+    EXPECT_EQ(parseDouble("--zipf", "0", 0.0), 0.0);
+    EXPECT_EQ(parseDouble("--respell", "1", 0.0, 1.0), 1.0);
+    EXPECT_EQ(parseDouble("--respell", "0.25", 0.0, 1.0), 0.25);
+    EXPECT_EQ(parseDouble("--delta", "-2.5e-3"), -2.5e-3);
+
+    auto error = [](const std::string &text, double lo, double hi) {
+        try {
+            parseDouble("--x", text, lo, hi);
+        } catch (const std::runtime_error &caught) {
+            return std::string(caught.what());
+        }
+        return std::string("accepted");
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(error("2", 0.0, 1.0),
+              "fatal: --x must be a number in [0, 1], got '2'");
+    EXPECT_EQ(error("-1", 0.0, inf),
+              "fatal: --x must be a number >= 0, got '-1'");
+    EXPECT_EQ(error("abc", -inf, inf),
+              "fatal: --x must be a finite number, got 'abc'");
+    for (const char *bad : {"", "+1", " 1", "1 ", "1.5x", "nan", "inf",
+                            "-inf", "infinity", "1e999", "0x1p3"})
+        EXPECT_NE(error(bad, -inf, inf), "accepted") << bad;
+}
+
 TEST(Env, ScaledCountHasFloor)
 {
     EXPECT_GE(scaledCount(100, 10), 10);

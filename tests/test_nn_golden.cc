@@ -5,9 +5,10 @@
  * The fused-op/arena rewrite of the autograd tape must not change a
  * single bit of the numerics. This suite locks them in:
  *
- *  - surrogate predictions (Ithemal mode and paramDim > 0 mode) and a
- *    5-step training-loss trajectory plus a 3-step parameter-table
- *    trajectory are compared bit-exactly against
+ *  - surrogate predictions (Ithemal mode and paramDim > 0 mode), a
+ *    5-step training-loss trajectory with a digest of its last
+ *    batch gradient, and a 3-step parameter-table trajectory are
+ *    compared bit-exactly against
  *    tests/golden/nn_numerics.txt, which was generated with the
  *    pre-rewrite node-per-op engine (PR 2 tree) and is regenerated
  *    only deliberately (DIFFTUNE_REGEN_GOLDEN=1);
@@ -257,7 +258,31 @@ tableTrajectory()
     return losses;
 }
 
-/** All golden values, keyed "section:index". */
+/**
+ * FNV-1a-64 over the IEEE-754 bit patterns of every element of
+ * @p grads, tensor by tensor in ParamSet order, each element's 8
+ * bytes least significant first.
+ */
+uint64_t
+gradDigest(const nn::Grads &grads)
+{
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (size_t p = 0; p < grads.count(); ++p)
+        for (double value : grads[int(p)].data)
+            for (int byte = 0; byte < 8; ++byte) {
+                hash ^= (bits(value) >> (8 * byte)) & 0xff;
+                hash *= 0x100000001b3ULL;
+            }
+    return hash;
+}
+
+/**
+ * All golden values, keyed "section:index", plus
+ * train_grad_digest: gradDigest of the training trajectory's step-4
+ * batch gradient, which pins the weight-gradient bits the losses
+ * alone do not (Adam's first step sees only each element's sign).
+ * Its top 53 bits are stored, so the double holds them exactly.
+ */
 std::map<std::string, double>
 computeAll()
 {
@@ -276,7 +301,13 @@ computeAll()
         put("surrogate_pred",
             surrogatePredictions(model, goldenTable(), norm));
     }
-    put("train_loss", trainingTrajectory(2));
+    {
+        surrogate::Model probe(goldenConfig(0),
+                               isa::theVocab().size());
+        nn::Grads grads(probe.params());
+        put("train_loss", trainingTrajectory(2, &grads));
+        out["train_grad_digest"] = double(gradDigest(grads) >> 11);
+    }
     put("table_loss", tableTrajectory());
     return out;
 }

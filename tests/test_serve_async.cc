@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for serving API v2 (serve::AsyncEngine): snapshot sharing
- * across shards and engines (per-engine weight allocations must not
- * scale with the worker count), bit-equality of concurrent
+ * across dispatchers and engines (per-engine weight allocations
+ * must not scale with the worker count), bit-equality of concurrent
  * submission with the sequential reference across thread counts and
  * random interleavings, micro-batcher behavior (submitAll groups,
- * maxBatch splits, no wait on the fork-join pool), shutdown
- * draining, error propagation through futures, atomic-stats
- * reconciliation, and the sharded LRU cache.
+ * kMaxBatch splits, group dedup, no wait on the fork-join pool from
+ * any entry point), shutdown draining, error propagation through
+ * futures, atomic-stats reconciliation, and the sharded LRU cache.
  */
 
 #include <gtest/gtest.h>
@@ -94,9 +94,12 @@ TEST(AsyncEngine, SnapshotSharedByAllShards)
     AsyncConfig cfg;
     cfg.workers = 4;
     AsyncEngine engine(surrogateCheckpoint(), cfg);
-    // All shard executors borrow one snapshot: the shared_ptr is
-    // referenced by the engine itself plus one per shard, and no
-    // shard holds a private copy of any derived table.
+    // The executors exist once the dispatchers start, on the first
+    // request past the front cache.
+    engine.predict(corpusTexts(1, 0xa5)[0]);
+    // All dispatcher executors borrow one snapshot: the shared_ptr
+    // is referenced by the engine itself plus one per executor, and
+    // no executor holds a private copy of any derived table.
     EXPECT_GE(engine.snapshotPtr().use_count(), 1 + engine.workers());
 }
 
@@ -213,17 +216,45 @@ TEST(AsyncEngine, SubmitAllGroupMatchesPredictAll)
 
 TEST(AsyncEngine, MicroBatcherCoalescesUnderMaxBatch)
 {
-    // A submitAll group larger than maxBatch must split into
-    // multiple executed batches; one no larger than maxBatch must
-    // not add batches beyond the group flush.
-    const auto texts = corpusTexts(30, 0x55);
+    // A queue longer than kMaxBatch must split into several executed
+    // batches: one dispatcher, so the whole group lands in one queue.
+    const auto texts = corpusTexts(140, 0x55);
+    const std::unordered_set<std::string> distinct(texts.begin(),
+                                                   texts.end());
+    ASSERT_GE(distinct.size(), 2 * AsyncEngine::kMaxBatch + 2);
     AsyncConfig cfg;
-    cfg.maxBatch = 8;
+    cfg.workers = 1;
     AsyncEngine engine(ithemalCheckpoint(), cfg);
     for (std::future<double> &future : engine.submitAll(texts))
         future.get();
-    const uint64_t batches = engine.stats().batches;
-    EXPECT_GE(batches, uint64_t(texts.size() + 7) / 8);
+    EXPECT_GE(engine.stats().batches.load(), 3u);
+}
+
+TEST(AsyncEngine, PredictAllForwardsEachDistinctBlockOnce)
+{
+    // submitAll places each member on the dispatcher its raw text
+    // hashes to, so with nothing else queued every copy of a text
+    // in a group of at most kMaxBatch lands in one batch and its
+    // dedup forwards the block once. Round-robin placement would
+    // split the copies across dispatchers, each forwarding them.
+    const auto distinct = corpusTexts(16, 0x5d);
+    ASSERT_EQ(std::unordered_set<std::string>(distinct.begin(),
+                                              distinct.end())
+                  .size(),
+              16u);
+    std::vector<std::string> texts;
+    for (int copy = 0; copy < 3; ++copy)
+        texts.insert(texts.end(), distinct.begin(), distinct.end());
+    ASSERT_LE(texts.size(), AsyncEngine::kMaxBatch);
+    AsyncConfig cfg;
+    cfg.workers = 4;
+    AsyncEngine engine(surrogateCheckpoint(), cfg);
+    const std::vector<double> results = engine.predictAll(texts);
+    EXPECT_EQ(engine.stats().forwards.load(), 16u);
+    for (size_t i = 0; i < texts.size(); ++i)
+        EXPECT_TRUE(sameBits(results[i],
+                             engine.predictUncached(texts[i])))
+            << "text " << i;
 }
 
 TEST(AsyncEngine, ShutdownDrainsPendingFutures)
@@ -252,8 +283,9 @@ TEST(AsyncEngine, SubmitAfterShutdownThrowsCatchableError)
     // Regression: submit/submitAll on a stopped engine used to hit
     // fatal_if — noisy and indistinguishable from a real invariant
     // violation. A draining engine is an expected serving state
-    // (difftuned answers it with a "draining" wire status), so both
-    // entry points must throw the dedicated, quiet error type.
+    // (difftuned answers it with a "draining" wire status), so every
+    // entry point must throw the dedicated, quiet error type — the
+    // synchronous ones too, since they wait on the dispatchers.
     const auto texts = corpusTexts(4, 0x99);
     AsyncEngine engine(ithemalCheckpoint());
     EXPECT_TRUE(sameBits(engine.submit(texts[0]).get(),
@@ -261,6 +293,9 @@ TEST(AsyncEngine, SubmitAfterShutdownThrowsCatchableError)
     engine.shutdown();
     EXPECT_THROW(engine.submit(texts[0]), EngineStoppedError);
     EXPECT_THROW(engine.submitAll(texts), EngineStoppedError);
+    EXPECT_THROW(engine.predict(texts[0]), EngineStoppedError);
+    EXPECT_THROW(engine.predict(texts[1]), EngineStoppedError);
+    EXPECT_THROW(engine.predictAll(texts), EngineStoppedError);
     // The rejections leave the counters reconciled: requests ==
     // hits + misses still holds for the lifetime totals.
     const auto &stats = engine.stats();
@@ -270,9 +305,9 @@ TEST(AsyncEngine, SubmitAfterShutdownThrowsCatchableError)
 
 TEST(AsyncEngine, ZeroCacheCapacityThrowsCatchableError)
 {
-    // Like maxBatch == 0, a zero capacity is a bad configuration:
-    // it must be rejected with a catchable error before any cache
-    // is built, since the cache itself panics (aborts) on it.
+    // A zero capacity is a bad configuration: it must be rejected
+    // with a catchable error before any cache is built, since the
+    // cache itself panics (aborts) on it.
     AsyncConfig cfg;
     cfg.cacheCapacity = 0;
     EXPECT_THROW(AsyncEngine(ithemalCheckpoint(), cfg), std::runtime_error);
@@ -465,6 +500,51 @@ TEST(AsyncEngine, QueuedMissesNeverWaitOnTheForkJoinPool)
     ASSERT_EQ(futures.size(), texts.size());
     for (size_t i = 0; i < texts.size(); ++i)
         EXPECT_TRUE(sameBits(futures[i].get(),
+                             engine.predictUncached(texts[i])))
+            << "block " << i;
+}
+
+TEST(AsyncEngine, SyncCallsNeverWaitOnTheForkJoinPool)
+{
+    // Regression: predict and predictAll used to fan their misses
+    // out with parallelShards on the process-wide WorkerPool, whose
+    // run mutex serializes fork-join callers, so a synchronous call
+    // waited out any unrelated fork-join job. Both now wait on the
+    // dispatchers only. Another thread holds the pool inside a job
+    // whose shards each wait up to 5 s for a flag that this thread
+    // sets only once its predictAll has returned. Registered a
+    // second time under DIFFTUNE_THREADS=4, so the job's second
+    // shard runs on a real pool worker on any runner.
+    const auto texts = corpusTexts(8, 0xee);
+    AsyncConfig cfg;
+    cfg.workers = 4;
+    AsyncEngine engine(surrogateCheckpoint(), cfg);
+    std::atomic<bool> inside{false};
+    std::atomic<bool> released{false};
+    std::atomic<int> timed_out{0};
+    std::thread holder([&] {
+        parallelShards(2, 2, [&](size_t, size_t, int) {
+            inside.store(true);
+            const auto deadline = std::chrono::steady_clock::now() +
+                                  std::chrono::seconds(5);
+            while (!released.load() &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            if (!released.load())
+                ++timed_out;
+        });
+    });
+    while (!inside.load())
+        std::this_thread::yield();
+    const std::vector<double> results = engine.predictAll(texts);
+    released.store(true);
+    holder.join();
+    EXPECT_EQ(timed_out.load(), 0)
+        << "predictAll waited on the fork-join pool";
+    ASSERT_EQ(results.size(), texts.size());
+    for (size_t i = 0; i < texts.size(); ++i)
+        EXPECT_TRUE(sameBits(results[i],
                              engine.predictUncached(texts[i])))
             << "block " << i;
 }

@@ -11,12 +11,15 @@
 #   3. require `replay --daemon 70000`, `replay --daemon abc` and
 #      `difftune_compare check --daemon 70000` to exit 3 naming
 #      --daemon (a port must never wrap into another one)
-#   4. serve the checkpoint through a two-dispatcher difftuned
+#   4. require `gen --seed -1`, `gen --seed abc`, `gen --zipf abc`
+#      and `gen --respell 2` to exit 3 naming their flag (a seed
+#      must never wrap, a probability must stay in [0, 1])
+#   5. serve the checkpoint through a two-dispatcher difftuned
 #      (--workers 2), replay the trace against it over the wire
 #      (self-consistency audit), and difftune_compare check the
 #      daemon against a checkpoint-built .preds artifact (exit 0 =
 #      every block bit-exact across the process boundary)
-#   5. SIGTERM the daemon and require a graceful-drain exit 0
+#   6. SIGTERM the daemon and require a graceful-drain exit 0
 #
 # Usage: lab_smoke.sh <difftuned> <difftune_lab> <difftune_compare>
 #
@@ -69,25 +72,38 @@ for workers in 1 2 4; do
         --workers "$workers" --capacity 16 --check
 done
 
+# expect_refused FLAG CMD...: CMD must exit 3 (operational error)
+# at once, with output naming FLAG.
+expect_refused() {
+    local flag=$1 rc=0 out
+    shift
+    out=$(timeout 10 "$@" 2>&1) || rc=$?
+    if [ "$rc" -ne 3 ] || ! grep -q -e "$flag" <<<"$out"; then
+        echo "FAIL: $* exited $rc, want 3 naming $flag;" \
+            "output: $out"
+        exit 1
+    fi
+    echo "   $(basename "$1") $2 $flag ${*: -1}: $out"
+}
+
 step "replay and check refuse ports they cannot dial as given"
 # A refused port exits 3 at once, naming the flag; one that wrapped
 # would dial another port instead.
 "$COMPARE" snapshot "$WORKDIR/ref.preds" --ckpt "$WORKDIR/m.ckpt"
-expect_port_refused() {
-    local rc=0 out
-    out=$(timeout 10 "$@" 2>&1) || rc=$?
-    if [ "$rc" -ne 3 ] || ! grep -q -e '--daemon' <<<"$out"; then
-        echo "FAIL: $* exited $rc, want 3 naming --daemon;" \
-            "output: $out"
-        exit 1
-    fi
-    echo "   $(basename "$1") $2 --daemon ${*: -1}: $out"
-}
 for BAD_PORT in 70000 abc; do
-    expect_port_refused "$LAB" replay "$WORKDIR/a.trace" \
+    expect_refused --daemon "$LAB" replay "$WORKDIR/a.trace" \
         --daemon "$BAD_PORT"
 done
-expect_port_refused "$COMPARE" check "$WORKDIR/ref.preds" --daemon 70000
+expect_refused --daemon "$COMPARE" check "$WORKDIR/ref.preds" \
+    --daemon 70000
+
+step "gen refuses seeds and rates it cannot take as given"
+# A negative seed must not wrap to 2^64 - 1, and a respell
+# probability above 1 must not be taken as "always".
+expect_refused --seed "$LAB" gen "$WORKDIR/bad.trace" --seed -1
+expect_refused --seed "$LAB" gen "$WORKDIR/bad.trace" --seed abc
+expect_refused --zipf "$LAB" gen "$WORKDIR/bad.trace" --zipf abc
+expect_refused --respell "$LAB" gen "$WORKDIR/bad.trace" --respell 2
 
 step "start two-dispatcher difftuned (--workers 2, ephemeral port)"
 "$DIFFTUNED" serve default="$WORKDIR/m.ckpt" --workers 2 \
